@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import isqrt
 
 import mpmath
+import numpy as np
 
 from .errors import PrecisionExhaustedError, ValidationError
 
@@ -354,15 +355,9 @@ def sqrt_int(n: int) -> AlgebraicValue:
 def frac_orbit_floats(step_fixed: int, scale_bits: int, count: int,
                       start_fixed: int = 0, k0: int = 0):
     """Float64 array of {start + k*step} for k = k0 .. k0+count-1."""
-    import numpy as np
-
-    mask = (1 << scale_bits) - 1
-    inv = 2.0 ** -scale_bits
-    r = (start_fixed + k0 * step_fixed) & mask
-    out = np.empty(count, dtype=np.float64)
-    for i in range(count):
-        out[i] = r * inv
-        r = (r + step_fixed) & mask
+    out = np.empty(max(count, 0), dtype=np.float64)
+    for i, residues in _orbit(step_fixed, scale_bits, count, start_fixed + k0 * step_fixed):
+        out[i:i + _CHUNK] = _to_floats(residues, scale_bits)
     return out
 
 
@@ -371,7 +366,139 @@ def frac_point(step_fixed: int, scale_bits: int, k: int, start_fixed: int = 0) -
     return ((start_fixed + k * step_fixed) & mask) * 2.0 ** -scale_bits
 
 
-def nearest_int_distance_fixed(r: int, scale_bits: int) -> int:
-    """min(r, 2**scale - r) for a residue r in [0, 2**scale)."""
-    half = 1 << (scale_bits - 1)
-    return r if r <= half else (1 << scale_bits) - r
+# ---------------------------------------------------------------------------
+# exact residue kernel
+#
+# Residues (offset + sum_k n_k * step_k) mod 2**scale are held as
+# little-endian 64-bit limbs: a uint64 array of shape (limbs, count) whose
+# column i stands for sum_j limbs[j, i] * 2**(64 j).  Every residue array
+# in the package is formed here; frac_point is the scalar form.
+# ---------------------------------------------------------------------------
+
+#: Orbit residues are formed this many at a time, which bounds the numpy
+#: temporaries.
+_CHUNK = 1 << 16
+
+_COORD_BITS = 16
+
+
+def _digits(x: int, count: int, bits: int = 32) -> np.ndarray:
+    """The low ``count`` base-2**bits digits of an int >= 0, as a uint64 column."""
+    return np.array([(x >> (bits * j)) & ((1 << bits) - 1) for j in range(count)],
+                    dtype=np.uint64)[:, None]
+
+
+def _residues(coords: np.ndarray, steps, scale_bits: int, offset: int = 0) -> np.ndarray:
+    """(offset + sum_k coords[k] * steps[k]) mod 2**scale_bits as limbs.
+
+    ``coords`` is int64 with one row per axis and |coords| < 2**63.  Each
+    coordinate is split into 16-bit digits; a digit times a 32-bit digit of
+    step * 2**(16 p) stays below 2**48, so the products (at most four per
+    axis) accumulate in uint64 slots of 32-bit digits without carries, and
+    one carry pass at the end normalises them.  A negative coordinate multiplies its
+    magnitude by the digits of -step instead.
+    """
+    full = 1 << scale_bits
+    n_digits = -(-scale_bits // 32)
+    acc = np.empty((n_digits, coords.shape[1]), dtype=np.uint64)
+    acc[:] = _digits(offset % full, n_digits)
+    for n, step in zip(coords, steps):
+        neg = n < 0
+        mag = np.abs(n).view(np.uint64)
+        for shift in range(0, int(mag.max(initial=0)).bit_length(), _COORD_BITS):
+            part = (mag >> np.uint64(shift)) & np.uint64((1 << _COORD_BITS) - 1)
+            m = (step << shift) % full
+            digits = _digits(m, n_digits)
+            if neg.any():
+                digits = np.where(neg, _digits(-m % full, n_digits), digits)
+            acc += digits * part
+    for j in range(n_digits - 1):
+        acc[j + 1] += acc[j] >> np.uint64(32)
+        acc[j] &= np.uint64(0xFFFF_FFFF)
+    acc[-1] &= np.uint64((1 << (scale_bits - 32 * (n_digits - 1))) - 1)
+    limbs = acc[0::2].copy()
+    limbs[:len(acc[1::2])] |= acc[1::2] << np.uint64(32)
+    return limbs
+
+
+def _orbit(step: int, scale_bits: int, count: int, start: int = 0):
+    """Residues of start + k*step for k = 0 .. count-1, as (k, limbs) chunks.
+
+    Each chunk is formed from its own first residue, so its coordinates stay
+    within one 16-bit digit.
+    """
+    ks = np.arange(min(max(count, 0), _CHUNK), dtype=np.int64)[None]
+    for i in range(0, max(count, 1), _CHUNK):
+        yield i, _residues(ks[:, :count - i], [step], scale_bits, start + i * step)
+
+
+def _multiple_distances(step: int, scale_bits: int, count: int) -> np.ndarray:
+    """Distances to the nearest integer of n * step for n = 1 .. count, as limbs."""
+    return np.concatenate([_dist_to_int(residues, scale_bits)
+                           for _, residues in _orbit(step, scale_bits, count, step)], axis=1)
+
+
+def _to_ints(limbs: np.ndarray) -> list[int]:
+    rows = limbs.tolist()
+    ints = rows[-1]
+    for row in reversed(rows[:-1]):
+        ints = [(hi << 64) | lo for hi, lo in zip(ints, row)]
+    return ints
+
+
+def _to_floats(limbs: np.ndarray, scale_bits: int) -> np.ndarray:
+    """limbs * 2**-scale_bits, correctly rounded: r * 2.0 ** -scale_bits.
+
+    A top limb of at least 2**54 carries 55 or more significant bits, so
+    or-ing a sticky bit for the lower limbs into it rounds exactly as the
+    whole value would; the few shorter values are converted as ints.
+    """
+    top = limbs[-1]
+    sticky = (limbs[:-1] != 0).any(axis=0)
+    out = (top | sticky).astype(np.float64) * 2.0 ** (64 * (len(limbs) - 1) - scale_bits)
+    short = np.flatnonzero(top < np.uint64(1 << 54))
+    if len(short):
+        out[short] = [r * 2.0 ** -scale_bits for r in _to_ints(limbs[:, short])]
+    return out
+
+
+def _reciprocals(limbs: np.ndarray, scale_bits: int) -> np.ndarray:
+    """2**scale_bits / r for nonzero r, correctly rounded."""
+    full = 1 << scale_bits
+    return np.array([full / r for r in _to_ints(limbs)], dtype=np.float64)
+
+
+def _less(limbs: np.ndarray, t: int) -> np.ndarray:
+    """Elementwise ``value < t`` against an integer constant."""
+    if not 0 < t < 1 << (64 * len(limbs)):
+        return np.full(limbs.shape[1], t > 0)
+    less = np.zeros(limbs.shape[1], dtype=bool)
+    for x, c in zip(limbs, _digits(t, len(limbs), 64)):
+        less = (x < c) | ((x == c) & less)
+    return less
+
+
+def _dist_to_int(limbs: np.ndarray, scale_bits: int) -> np.ndarray:
+    """min(r, 2**scale_bits - r): the distance to the nearest integer, scaled."""
+    comp = _sub(np.zeros_like(limbs), limbs)
+    comp[-1] &= np.uint64(((1 << 64) - 1) >> (64 * len(limbs) - scale_bits))
+    return np.where(_less(limbs, (1 << (scale_bits - 1)) + 1), limbs, comp)
+
+
+def _sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b elementwise, modulo 2**(64 * limbs)."""
+    out = a - b
+    borrow = np.zeros(a.shape[1], dtype=bool)
+    for x, y, d in zip(a, b, out):
+        d -= borrow
+        borrow = (x < y) | ((x == y) & borrow)
+    return out
+
+
+def _argmin(limbs: np.ndarray) -> int:
+    """Index of the first smallest value."""
+    idx = np.arange(limbs.shape[1])
+    for limb in limbs[::-1]:
+        vals = limb[idx]
+        idx = idx[vals == vals.min()]
+    return int(idx[0])

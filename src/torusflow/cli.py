@@ -189,6 +189,22 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     return path
 
 
+def _write_manifest(out_dir: Path, cfg: ExperimentConfig) -> Path:
+    return _write(out_dir, "manifest.json",
+                  json.dumps(_manifest(cfg), indent=2, sort_keys=True))
+
+
+def _discrete_setup(cfg: ExperimentConfig, n_max_default: int):
+    """(alpha, start, box, n_max) of the config's discrete section; alpha
+    defaults to the first direction coordinate, start to the origin."""
+    dcfg = cfg.discrete or {}
+    alpha = [AlgebraicValue.parse(a) for a in dcfg.get("alpha", [cfg.direction[0]])]
+    start = [AlgebraicValue.parse(s) for s in dcfg.get("start", ["0"] * len(alpha))]
+    box = Box.make(dcfg.get("box_lo", [0.0] * len(alpha)),
+                   dcfg.get("box_hi", [0.5] * len(alpha)))
+    return alpha, start, box, int(dcfg.get("n_max", n_max_default))
+
+
 # ---------------------------------------------------------------------------
 # experiment driver
 # ---------------------------------------------------------------------------
@@ -240,8 +256,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                json.dumps(trace.meta, indent=2, sort_keys=True, default=str))
         if certificate is not None:
             _write(out_dir, "certificate.json", certificate.to_json())
-        _write(out_dir, "manifest.json",
-               json.dumps(_manifest(cfg), indent=2, sort_keys=True))
+        _write_manifest(out_dir, cfg)
         summary["out"] = str(out_dir)
     return summary
 
@@ -257,14 +272,7 @@ def compare_discrete_continuous(cfg: ExperimentConfig) -> dict:
         inst = cfg.build_instance()
         trace = discrepancy_trace(inst, t_max, n_samples=n_samples,
                                   schedule=sched.get("kind", "geometric"))
-        dcfg = cfg.discrete or {}
-        alpha = [AlgebraicValue.parse(a) for a in
-                 dcfg.get("alpha", [cfg.direction[0]])]
-        start = [AlgebraicValue.parse(s) for s in dcfg.get("start", ["0"])]
-        box = Box.make(dcfg.get("box_lo", [0.0] * len(alpha)),
-                       dcfg.get("box_hi", [0.5] * len(alpha)))
-        n_max = int(dcfg.get("n_max", int(t_max)))
-        discrete = dict(discrete_decade_maxima(alpha, start, box, n_max))
+        discrete = dict(discrete_decade_maxima(*_discrete_setup(cfg, int(t_max))))
         prev = 0.0
         hi = 10.0
         while prev < t_max:
@@ -284,8 +292,7 @@ def compare_discrete_continuous(cfg: ExperimentConfig) -> dict:
             lines.append(f"{r['decade_upper']:.17g},{r['continuous_sup']:.17g},"
                          f"{r['discrete_max']:.17g}")
         _write(Path(cfg.out), "compare.csv", "\n".join(lines) + "\n")
-        _write(Path(cfg.out), "manifest.json",
-               json.dumps(_manifest(cfg), indent=2, sort_keys=True))
+        _write_manifest(Path(cfg.out), cfg)
     return report
 
 
@@ -327,12 +334,7 @@ def _cmd_boxsup(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_discrete(cfg: ExperimentConfig) -> int:
-    dcfg = cfg.discrete or {}
-    alpha = [AlgebraicValue.parse(a) for a in dcfg.get("alpha", [cfg.direction[0]])]
-    start = [AlgebraicValue.parse(s) for s in dcfg.get("start", ["0"] * len(alpha))]
-    box = Box.make(dcfg.get("box_lo", [0.0] * len(alpha)),
-                   dcfg.get("box_hi", [0.5] * len(alpha)))
-    n_max = int(dcfg.get("n_max", 10000))
+    alpha, start, box, n_max = _discrete_setup(cfg, 10000)
     value = discrete_discrepancy(alpha, start, box, n_max)
     print(f"D_N(N={n_max}) = {value:.12g}")
     maxima = discrete_decade_maxima(alpha, start, box, n_max)
@@ -355,8 +357,7 @@ def _cmd_bound(cfg: ExperimentConfig) -> int:
     print(cert.to_json())
     if cfg.out:
         _write(Path(cfg.out), "certificate.json", cert.to_json())
-        _write(Path(cfg.out), "manifest.json",
-               json.dumps(_manifest(cfg), indent=2, sort_keys=True))
+        _write_manifest(Path(cfg.out), cfg)
     return EXIT_OK
 
 

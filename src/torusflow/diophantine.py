@@ -21,6 +21,14 @@ import numpy as np
 from .algebraic import (
     DEFAULT_FIXED_SCALE,
     AlgebraicValue,
+    _argmin,
+    _dist_to_int,
+    _less,
+    _multiple_distances,
+    _residues,
+    _sub,
+    _to_floats,
+    _to_ints,
     default_precision_bits,
 )
 from .errors import PrecisionExhaustedError, TailNotCertifiableError, ValidationError
@@ -256,17 +264,13 @@ def diophantine_series(alpha1, n_max: int, prec_bits: int | None = None,
         )
 
     alpha_fixed = value.fixed(scale)
-    mask = (1 << scale) - 1
-    half = 1 << (scale - 1)
+    dists = _to_ints(_multiple_distances(alpha_fixed, scale, n_max))
 
     # exact partial sum: term_n = 2**scale / (n^2 * d_n) with d_n integer
     pow_scale = mpmath.mpf(2) ** scale
     with mpmath.workprec(bits + 32):
         def _terms():
-            r = 0
-            for n in range(1, n_max + 1):
-                r = (r + alpha_fixed) & mask
-                d = r if r <= half else (1 << scale) - r
+            for n, d in enumerate(dists, start=1):
                 if d <= 2 * n:
                     raise PrecisionExhaustedError(
                         f"||{n}*alpha|| indistinguishable from 0 at scale {scale}"
@@ -369,24 +373,25 @@ def approximation_exponent_scan(alpha1, n_max: int, eta: float,
     """
     value = AlgebraicValue.coerce(alpha1)
     step = value.fixed(scale_bits)
-    mask = (1 << scale_bits) - 1
-    half = 1 << (scale_bits - 1)
-    inv = 2.0 ** -scale_bits
+    count = max(n_max, 0)
+    dist = _to_floats(_multiple_distances(step, scale_bits, count), scale_bits)
+    ns = np.arange(1, count + 1, dtype=np.float64)
 
+    # numpy's pow and log may differ from libm's in the last bit, so they
+    # only preselect candidates; reported values are Python float results
     hits = []
+    for n in (np.flatnonzero(dist < ns ** (-eta) * (1.0 + 1e-9)) + 1).tolist():
+        d, threshold = float(dist[n - 1]), n ** (-eta)
+        if d < threshold:
+            hits.append(ApproximationHit(n=n, distance=d, threshold=threshold))
     worst = float("-inf")
-    r = 0
-    for n in range(1, n_max + 1):
-        r = (r + step) & mask
-        d = r if r <= half else (1 << scale_bits) - r
-        dist = d * inv
-        threshold = n ** (-eta)
-        if dist < threshold:
-            hits.append(ApproximationHit(n=n, distance=dist, threshold=threshold))
-        if n >= 2:
-            expo = float("inf") if dist == 0.0 else -math.log(dist) / math.log(n)
-            if expo > worst:
-                worst = expo
+    if count >= 2:
+        if not dist[1:].all():
+            worst = float("inf")
+        else:
+            expo = -np.log(dist[1:]) / np.log(ns[1:])
+            for n in (np.flatnonzero(expo >= expo.max() * (1.0 - 1e-9)) + 2).tolist():
+                worst = max(worst, -math.log(dist[n - 1]) / math.log(n))
     return ExponentScan(
         alpha=value.literal(),
         eta=eta,
@@ -476,56 +481,38 @@ class SchmidtScan:
         return buf.getvalue()
 
 
-def _lattice_residues(alpha_values: list[AlgebraicValue], n_max: int,
-                      scale_bits: int):
-    """Yield (n_tuple, residue_int) over 0 < |n|_inf <= n_max, fixed order."""
-    dim = len(alpha_values)
-    steps = [v.fixed(scale_bits) for v in alpha_values]
-    mask = (1 << scale_bits) - 1
-
-    def rec(prefix, acc, axis):
-        if axis == dim:
-            if any(prefix):
-                yield tuple(prefix), acc & mask
-            return
-        base = (acc - (n_max + 1) * steps[axis]) & mask
-        for c in range(-n_max, n_max + 1):
-            base = (base + steps[axis]) & mask
-            yield from rec(prefix + [c], base, axis + 1)
-
-    yield from rec([], 0, 0)
-
-
 def schmidt_inequality_scan(alpha_values, forms, gamma: float, n_max: int,
                             scale_bits: int = DEFAULT_FIXED_SCALE) -> SchmidtScan:
     """Scan 0 < |n|_inf <= n_max for ||<n, alpha>|| * prod(|L_k(n)|+1) < |n|^-gamma.
 
     ``forms`` is a sequence of coefficient vectors for the linear forms L_k.
     Also fits the largest constant C with lhs >= C |n|^-gamma over the scan,
-    which downstream dyadic audits take as their threshold.
+    which downstream dyadic audits take as their threshold.  Powers of |n|
+    are Python float results, one per distinct norm.
     """
     values = [AlgebraicValue.coerce(a) for a in alpha_values]
+    steps = [v.fixed(scale_bits) for v in values]
     form_rows = [tuple(float(c) for c in f) for f in forms]
-    inv = 2.0 ** -scale_bits
-    half = 1 << (scale_bits - 1)
-    full = 1 << scale_bits
+    dim = len(values)
 
     hits = []
     fitted_c = float("inf")
-    for n, r in _lattice_residues(values, n_max, scale_bits):
-        d = r if r <= half else full - r
-        dist = d * inv
-        prod = 1.0
+    for pts in _cube(n_max, dim) if dim else ():
+        pts = pts[:, (pts != 0).any(axis=0)]
+        dist = _to_floats(_dist_to_int(_residues(pts, steps, scale_bits), scale_bits),
+                          scale_bits)
+        prod = np.ones(pts.shape[1])
         for row in form_rows:
-            prod *= abs(sum(c * ni for c, ni in zip(row, n))) + 1.0
-        norm = math.sqrt(sum(ni * ni for ni in n))
+            prod *= np.abs(_form_sizes(row, pts)) + 1.0
         lhs = dist * prod
-        rhs = norm ** (-gamma)
-        if lhs < rhs:
-            hits.append(SchmidtHit(n=n, lhs=lhs, rhs=rhs))
-        scaled = lhs * norm ** gamma
-        if scaled < fitted_c:
-            fitted_c = scaled
+        norm2, which = np.unique((pts * pts).sum(axis=0), return_inverse=True)
+        norms = [math.sqrt(v) for v in norm2.tolist()]
+        rhs = np.array([norm ** (-gamma) for norm in norms])[which]
+        up = np.array([norm ** gamma for norm in norms])[which]
+        fitted_c = float((lhs * up).min(initial=fitted_c))
+        for i in np.flatnonzero(lhs < rhs).tolist():
+            hits.append(SchmidtHit(n=tuple(pts[:, i].tolist()), lhs=float(lhs[i]),
+                                   rhs=float(rhs[i])))
     return SchmidtScan(gamma=gamma, n_max=n_max, hits=tuple(hits), fitted_c=fitted_c)
 
 
@@ -545,44 +532,53 @@ def block_capacity(c: float, gamma: float, ell: int, ell_ks: tuple[int, ...]) ->
     return math.ceil(2.0 ** log2_h)
 
 
-# Cube points (dyadic blocks) and block members (audits) are processed this
-# many at a time, which bounds the numpy temporaries.
+# Cube points (scans, dyadic blocks) and block members (audits) are
+# processed this many at a time, which bounds the numpy temporaries.
 _CHUNK = 1 << 18
+
+
+def _cube(limit: int, dim: int):
+    """The points of [-limit, limit]^dim in lexicographic order, as int64
+    columns (one row per axis), a slab of first coordinates at a time."""
+    side = range(-limit, limit + 1)  # a fractional limit raises here
+    values = np.arange(side.start, side.stop, dtype=np.int64)
+    rows = max(1, _CHUNK // max(len(values), 1) ** (dim - 1))
+    for start in range(0, len(values), rows):
+        grid = np.meshgrid(values[start:start + rows], *[values] * (dim - 1),
+                           indexing="ij")
+        yield np.stack([axis.ravel() for axis in grid])
+
+
+def _form_sizes(row, pts: np.ndarray) -> np.ndarray:
+    """L(n) for each column n, summed in float64 term by term in coefficient
+    order: the same operations as a Python ``sum``."""
+    size = np.zeros(pts.shape[1])
+    for k, coeff in enumerate(row[:len(pts)]):
+        size = size + coeff * pts[k].astype(np.float64)
+    return size
 
 
 def materialize_dyadic_block(forms, gamma: float, c: float, ell: int,
                              ell_ks: tuple[int, ...], dim: int) -> DyadicBlock:
     """Members of the cube [-2^(ell+1), 2^(ell+1)]^dim in lexicographic order.
 
-    The cube is enumerated with numpy, a slab of first coordinates at a
-    time.  Norms are exact int64 and each form size is accumulated in
-    float64 term by term in coefficient order, the same operations as a
-    Python ``sum``, so membership at a boundary is decided identically.
+    Norms are exact int64 and form sizes are summed as a Python ``sum``
+    would, so membership at a boundary is decided identically.
     """
     form_rows = [tuple(float(x) for x in f) for f in forms]
     if len(form_rows) != len(ell_ks):
         raise ValidationError("one dyadic index per linear form is required")
     lo2, hi2 = 4 ** ell, 4 ** (ell + 1)
     pieces = []
-    if dim > 0:  # the empty vector has norm 0 and is never a member
-        limit = 2 ** (ell + 1)
-        side = range(-limit, limit + 1)  # a fractional limit (ell < -1) raises here
-        values = np.arange(side.start, side.stop, dtype=np.int64)
-        rows = max(1, _CHUNK // len(values) ** (dim - 1))
-        for start in range(0, len(values), rows):
-            grid = np.meshgrid(values[start:start + rows], *[values] * (dim - 1),
-                               indexing="ij")
-            pts = np.stack([axis.ravel() for axis in grid])
-            norm2 = (pts * pts).sum(axis=0)
-            pts = pts[:, (norm2 >= lo2) & (norm2 < hi2)]
-            keep = np.ones(pts.shape[1], dtype=bool)
-            for row, lk in zip(form_rows, ell_ks):
-                size = np.zeros(pts.shape[1])
-                for k, coeff in enumerate(row[:dim]):
-                    size = size + coeff * pts[k].astype(np.float64)
-                size = np.abs(size) + 1.0
-                keep &= (2.0 ** lk <= size) & (size < 2.0 ** (lk + 1))
-            pieces.append(pts[:, keep])
+    # the empty vector has norm 0 and is never a member
+    for pts in _cube(2 ** (ell + 1), dim) if dim > 0 else ():
+        norm2 = (pts * pts).sum(axis=0)
+        pts = pts[:, (norm2 >= lo2) & (norm2 < hi2)]
+        keep = np.ones(pts.shape[1], dtype=bool)
+        for row, lk in zip(form_rows, ell_ks):
+            size = np.abs(_form_sizes(row, pts)) + 1.0
+            keep &= (2.0 ** lk <= size) & (size < 2.0 ** (lk + 1))
+        pieces.append(pts[:, keep])
     if pieces:
         coords = np.concatenate(pieces, axis=1)
         members = tuple(zip(*(axis.tolist() for axis in coords)))
@@ -605,95 +601,6 @@ class AuditResult:
     violations: tuple[str, ...]
 
 
-# Exact residues held as little-endian 64-bit limbs in uint64 arrays.  A
-# limb list stands for sum_j limbs[j] * 2**(64 j).
-
-_WORD = (1 << 64) - 1
-_DIGIT = 0xFFFF_FFFF
-
-
-def _int_limbs(x: int, count: int) -> list[np.uint64]:
-    return [np.uint64((x >> (64 * j)) & _WORD) for j in range(count)]
-
-
-def _limbs_int(limbs, i: int) -> int:
-    return sum(int(limb[i]) << (64 * j) for j, limb in enumerate(limbs))
-
-
-def _limbs_less(limbs, t: int) -> np.ndarray:
-    """Elementwise ``value < t`` against an integer constant."""
-    if t <= 0:
-        return np.zeros(len(limbs[0]), dtype=bool)
-    if t >> (64 * len(limbs)):
-        return np.ones(len(limbs[0]), dtype=bool)
-    less = None
-    for x, c in zip(limbs, _int_limbs(t, len(limbs))):
-        less = x < c if less is None else (x < c) | ((x == c) & less)
-    return less
-
-
-def _limbs_sub(a, b) -> list[np.ndarray]:
-    """a - b elementwise, for a >= b."""
-    out, borrow = [], None
-    for x, y in zip(a, b):
-        d = x - y
-        if borrow is None:
-            borrow = x < y
-        else:
-            d -= borrow.astype(np.uint64)
-            borrow = (x < y) | ((x == y) & borrow)
-        out.append(d)
-    return out
-
-
-def _limbs_argmin(limbs) -> int:
-    """Index of the first smallest value."""
-    idx = np.arange(len(limbs[0]))
-    for limb in reversed(limbs):
-        vals = limb[idx]
-        idx = idx[vals == vals.min()]
-    return int(idx[0])
-
-
-def _shifted_residues(coords: np.ndarray, steps: list[int], offset: int,
-                      scale_bits: int) -> list[np.ndarray]:
-    """(offset + sum_k coords[k] * steps[k]) mod 2**scale_bits as limbs.
-
-    Products are formed on 32-bit digits, so each partial product fits a
-    uint64; a negative coordinate multiplies its magnitude by the digits of
-    -step instead.  Coordinates are int64 columns (one row per axis).
-    """
-    full = 1 << scale_bits
-    n_digits = -(-scale_bits // 32)
-    count = coords.shape[1]
-    acc = [np.full(count, (offset >> (32 * j)) & _DIGIT, dtype=np.uint64)
-           for j in range(n_digits)]
-    for n, step in zip(coords, steps):
-        neg = n < 0
-        mag = np.abs(n).astype(np.uint64)
-        plus, minus = step % full, -step % full
-        digits = [np.where(neg, np.uint64((minus >> (32 * j)) & _DIGIT),
-                           np.uint64((plus >> (32 * j)) & _DIGIT))
-                  for j in range(n_digits)]
-        for k, part in enumerate((mag & _DIGIT, mag >> 32)):
-            if k and not part.any():
-                continue
-            for j in range(n_digits - k):
-                prod = part * digits[j]
-                acc[j + k] += prod & _DIGIT
-                if j + k + 1 < n_digits:
-                    acc[j + k + 1] += prod >> 32
-    carry = np.uint64(0)
-    for j in range(n_digits):
-        acc[j] += carry
-        carry = acc[j] >> 32
-        acc[j] &= _DIGIT
-    top_bits = scale_bits - 32 * (n_digits - 1)
-    acc[-1] &= (1 << top_bits) - 1
-    return [acc[j] | (acc[j + 1] << 32) if j + 1 < n_digits else acc[j]
-            for j in range(0, n_digits, 2)]
-
-
 def dyadic_spacing_audit(alpha_values, block: DyadicBlock,
                          scale_bits: int = DEFAULT_FIXED_SCALE) -> AuditResult:
     """Check |g(n)| >= 1/H and pairwise |g(n) - g(m)| > 1/H on a block.
@@ -704,7 +611,7 @@ def dyadic_spacing_audit(alpha_values, block: DyadicBlock,
     and the gaps taken between neighbours.
 
     rho is held as key = rho + 2**(scale-1) - 1, which lies in
-    [0, 2**scale) and orders like rho, in 64-bit limbs; both tests become
+    [0, 2**scale) and orders like rho, as residue-kernel limbs; both tests become
     comparisons of keys or key differences with integer thresholds derived
     from 2**scale / H.  Python ints appear only for the minima and for the
     text of violations.
@@ -726,19 +633,18 @@ def dyadic_spacing_audit(alpha_values, block: DyadicBlock,
         raise ValidationError("block members must all have the same dimension")
     coords = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int64,
                          count=len(members) * width).reshape(-1, width).T
-    parts = [_shifted_residues(coords[:len(steps), i:i + _CHUNK], steps, offset,
-                               scale_bits)
-             for i in range(0, len(members), _CHUNK)]
-    key = [np.concatenate(limb) for limb in zip(*parts)]
+    key = np.concatenate([_residues(coords[:len(steps), i:i + _CHUNK], steps, scale_bits,
+                                    offset)
+                          for i in range(0, len(members), _CHUNK)], axis=1)
 
     def rho_of(i: int) -> int:
-        return _limbs_int(key, i) - offset
+        return _to_ints(key[:, [i]])[0] - offset
 
     violations = []
     # h * |rho| < full  <=>  |rho| < ceil(full / h)  <=>  -t < rho < t;
     # t = full admits every rho, as h <= 0 does
     t = -(-full // h) if h > 0 else full
-    small = _limbs_less(key, offset + t) & ~_limbs_less(key, offset - t + 1)
+    small = _less(key, offset + t) & ~_less(key, offset - t + 1)
     for i in np.flatnonzero(small).tolist():
         violations.append(f"|g({members[i]})| = {abs(rho_of(i)) * inv:.3e} < 1/{h}")
 
@@ -747,21 +653,21 @@ def dyadic_spacing_audit(alpha_values, block: DyadicBlock,
     top = key[-1][order]
     if np.any(top[1:] == top[:-1]):
         order = np.lexsort((*coords[::-1], *key))
-    ranked = [limb[order] for limb in key]
-    negatives = int(np.count_nonzero(_limbs_less(key, offset)))
+    ranked = key[:, order]
+    negatives = int(np.count_nonzero(_less(key, offset)))
     nearest = [rho_of(int(order[i])) for i in (negatives - 1, negatives)
                if 0 <= i < len(members)]
     min_abs = min(abs(r) for r in nearest) * inv
 
     min_gap = float("inf")
     if len(members) > 1:
-        gaps = _limbs_sub([limb[1:] for limb in ranked], [limb[:-1] for limb in ranked])
-        min_gap = _limbs_int(gaps, _limbs_argmin(gaps)) * inv
+        gaps = _sub(ranked[:, 1:], ranked[:, :-1])
+        min_gap = _to_ints(gaps[:, [_argmin(gaps)]])[0] * inv
         # h * gap <= full  <=>  gap < floor(full / h) + 1
-        close = _limbs_less(gaps, full // h + 1 if h > 0 else full)
+        close = _less(gaps, full // h + 1 if h > 0 else full)
         for i in np.flatnonzero(close).tolist():
             n1, n2 = members[order[i]], members[order[i + 1]]
-            gap = _limbs_int(gaps, i)
+            gap = _to_ints(gaps[:, [i]])[0]
             violations.append(f"|g({n2}) - g({n1})| = {gap * inv:.3e} <= 1/{h}")
 
     return AuditResult(

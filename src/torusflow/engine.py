@@ -125,10 +125,9 @@ class FlowInstance:
 
         d = direction.d
         s_d = s_vals[-1]
-        mask = (1 << scale_bits) - 1
         alpha_fixed = [direction.values[k].fixed(scale_bits) for k in range(d - 1)]
         x0_fixed = [
-            (s_vals[k] - s_d * direction.values[k]).fixed(scale_bits) & mask
+            (s_vals[k] - s_d * direction.values[k]).fixed(scale_bits)
             for k in range(d - 1)
         ]
         return cls(
@@ -164,12 +163,11 @@ class FlowInstance:
     def flow_point(self, t: float) -> tuple[AlgebraicValue, ...]:
         """The orbit point {s + t*alpha} (normalized coordinates), exactly."""
         t_val = AlgebraicValue.coerce(t * self.time_scale)
-        mask = (1 << self.scale_bits) - 1
         out = []
         for k in range(self.d):
             v = self.s_values[k] + t_val * self.direction.values[k]
-            r = v.fixed(self.scale_bits) & mask
-            out.append(AlgebraicValue.coerce(Fraction(r, 1 << self.scale_bits)))
+            out.append(AlgebraicValue.coerce(Fraction(v.fixed(self.scale_bits),
+                                                      1 << self.scale_bits) % 1))
         return tuple(out)
 
     def require_exact_capable(self):
@@ -359,13 +357,18 @@ def quadrature_delta_profile(inst: FlowInstance, t_max: float, step: float,
 # ---------------------------------------------------------------------------
 
 
-def _orbit_columns(alpha_vals, s_vals, n: int, scale_bits: int) -> np.ndarray:
-    cols = []
-    mask = (1 << scale_bits) - 1
-    for a, s in zip(alpha_vals, s_vals):
-        step = AlgebraicValue.coerce(a).fixed(scale_bits)
-        start = AlgebraicValue.coerce(s).fixed(scale_bits) & mask
-        cols.append(frac_orbit_floats(step, scale_bits, n, start_fixed=start))
+def _discrete_orbit(alpha, s, n: int, scale_bits: int) -> np.ndarray:
+    """Points {s + k*alpha} for k < n, one row each, after checking that
+    alpha and s have one coordinate each per axis and that n >= 0."""
+    alpha_vals = list(np.atleast_1d(np.asarray(alpha, dtype=object)))
+    s_vals = list(np.atleast_1d(np.asarray(s, dtype=object)))
+    if len(alpha_vals) != len(s_vals):
+        raise ValidationError("alpha and s dimension mismatch")
+    if n < 0:
+        raise ValidationError("negative orbit length")
+    cols = [frac_orbit_floats(AlgebraicValue.coerce(a).fixed(scale_bits), scale_bits, n,
+                              start_fixed=AlgebraicValue.coerce(v).fixed(scale_bits))
+            for a, v in zip(alpha_vals, s_vals)]
     return np.stack(cols, axis=1)
 
 
@@ -377,15 +380,9 @@ def discrete_discrepancy(alpha, s, target, n: int,
     a SectionFunction2D over the circle.  Works in any dimension >= 1; no
     normalization convention applies to translations.
     """
-    alpha_vals = list(np.atleast_1d(np.asarray(alpha, dtype=object)))
-    s_vals = list(np.atleast_1d(np.asarray(s, dtype=object)))
-    if len(alpha_vals) != len(s_vals):
-        raise ValidationError("alpha and s dimension mismatch")
-    if n < 0:
-        raise ValidationError("negative orbit length")
+    pts = _discrete_orbit(alpha, s, n, scale_bits)
     if n == 0:
         return 0.0
-    pts = _orbit_columns(alpha_vals, s_vals, n, scale_bits)
 
     if isinstance(target, Box):
         if target.d != pts.shape[1]:
@@ -412,9 +409,9 @@ def discrete_decade_maxima(alpha, s, target: Box, n_max: int,
     Returns a list of (decade_upper, max_abs_D) over decades
     (1, 10], (10, 100], ... up to n_max.
     """
-    alpha_vals = list(np.atleast_1d(np.asarray(alpha, dtype=object)))
-    s_vals = list(np.atleast_1d(np.asarray(s, dtype=object)))
-    pts = _orbit_columns(alpha_vals, s_vals, n_max, scale_bits)
+    pts = _discrete_orbit(alpha, s, n_max, scale_bits)
+    if target.d != pts.shape[1]:
+        raise ValidationError("box dimension mismatch")
     hits = target.contains_fracs(pts).astype(np.float64)
     d_n = np.cumsum(hits) - target.volume * np.arange(1, n_max + 1)
     out = []

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebraic import DEFAULT_FIXED_SCALE, AlgebraicValue
+from .algebraic import (
+    DEFAULT_FIXED_SCALE,
+    AlgebraicValue,
+    _less,
+    _multiple_distances,
+    _reciprocals,
+)
 from .diophantine import SeriesBound
 from .errors import DegeneratePolytopeError, ValidationError
 from .geometry import (
@@ -203,18 +209,11 @@ def fourier_majorant_2d(sec: SectionFunction2D, alpha1, n_max: int,
     """
     coeffs = fourier_coeffs_2d(sec, n_max)
     alpha_fix = AlgebraicValue.coerce(alpha1).fixed(scale_bits)
-    full = 1 << scale_bits
-    half = full >> 1
-    mask = full - 1
-    inv = []
-    r = 0
-    for n in range(1, n_max + 1):
-        r = (r + alpha_fix) & mask
-        dist = r if r <= half else full - r
-        if dist == 0:
-            raise ValidationError(f"||{n} alpha|| = 0 at working scale; alpha rational?")
-        inv.append(full / dist)
-    inv = np.array(inv)
+    dist = _multiple_distances(alpha_fix, scale_bits, n_max)
+    zero = np.flatnonzero(_less(dist, 1))
+    if len(zero):
+        raise ValidationError(f"||{zero[0] + 1} alpha|| = 0 at working scale; alpha rational?")
+    inv = _reciprocals(dist, scale_bits)
     # signed lattice: n and -n contribute equally, cancelling the 1/2
     head = float(np.sum(np.abs(coeffs) * inv))
 
@@ -480,39 +479,6 @@ def envelope_fit(arr: Arrangement, forms: FlagFormSet,
         inner_shell=inner,
         outer_shell=outer,
     )
-
-
-def fourier_majorant_3d(arr: Arrangement, direction: Direction, n_max: int,
-                        scale_bits: int = DEFAULT_FIXED_SCALE) -> MajorantResult:
-    """Truncated lattice majorant sum_{0<|n|_inf<=n_max} |f_hat(n)| /
-    (2 ||<n, alpha*>||) with a shell-extrapolated tail (heuristic).
-    """
-    direction.require_normalized()
-    if direction.d != 3:
-        raise ValidationError("this majorant is for 3-d instances")
-    alpha_fix = [v.fixed(scale_bits) for v in direction.values[:2]]
-    full = 1 << scale_bits
-    half = full >> 1
-    mask = full - 1
-
-    head = 0.0
-    last_shell = 0.0
-    for n1 in range(-n_max, n_max + 1):
-        for n2 in range(-n_max, n_max + 1):
-            if n1 == 0 and n2 == 0:
-                continue
-            r = (n1 * alpha_fix[0] + n2 * alpha_fix[1]) & mask
-            dist = r if r <= half else full - r
-            if dist == 0:
-                raise ValidationError("resonant lattice vector at working scale")
-            term = abs(fourier_coeff_exact_3d(arr, (n1, n2)).value) * full / (2.0 * dist)
-            head += term
-            if max(abs(n1), abs(n2)) == n_max:
-                last_shell += term
-    # crude geometric extrapolation from the outermost shell
-    tail = last_shell
-    return MajorantResult(value=head + tail, head=head, tail=tail, n_max=n_max,
-                          rigorous=False, note="heuristic tail (outer-shell extrapolation)")
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from torusflow.algebraic import parse_literal
 from torusflow.engine import FlowInstance
 from torusflow.geometry import Direction, Polytope, arrangement_cells, build_piecewise_linear_section
 
 TRIANGLE_VERTICES = [(0.1, 0.1), (0.9, 0.1), (0.1, 0.9)]
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays reproducible.
+settings.register_profile("torusflow", derandomize=True, database=None,
+                          deadline=None, max_examples=200)
+settings.load_profile("torusflow")
 
 
 @pytest.fixture(scope="session")

@@ -6,13 +6,20 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from torusflow.algebraic import (
     AlgebraicValue,
+    _dist_to_int,
+    _less,
+    _residues,
+    _sub,
+    _to_floats,
+    _to_ints,
     default_precision_bits,
     frac_orbit_floats,
     frac_point,
-    nearest_int_distance_fixed,
     parse_literal,
     sqrt_int,
 )
@@ -92,18 +99,18 @@ def test_orbit_start_offset(silver):
     np.testing.assert_allclose(pts, expect, atol=1e-12)
 
 
-def test_nearest_int_distance_fixed_at_convergent_denominators(silver):
+def test_kernel_distance_at_convergent_denominators(silver):
     """||q * alpha|| should be tiny exactly at the convergent denominators."""
     step = silver.fixed(SCALE)
+    qs = (2, 5, 12, 29, 70, 169, 3)
+    dists = _to_ints(_dist_to_int(_residues(np.array([qs]), [step], SCALE), SCALE))
     with mpmath.workprec(300):
         a = mpmath.sqrt(2) - 1
-        for q in (2, 5, 12, 29, 70, 169):
-            got = nearest_int_distance_fixed((q * step) % (1 << SCALE), SCALE)
+        for q, got in zip(qs[:-1], dists):
             want = abs(mpmath.frac(q * a + mpmath.mpf(1) / 2) - mpmath.mpf(1) / 2)
             assert abs(got / mpmath.mpf(2) ** SCALE - want) < 1e-40
     # off-denominator sanity: q = 3 is not a convergent, so the distance is large
-    d3 = nearest_int_distance_fixed((3 * step) % (1 << SCALE), SCALE)
-    assert d3 / 2.0 ** SCALE > 0.2
+    assert dists[-1] / 2.0 ** SCALE > 0.2
 
 
 def test_coerce_and_from_rational():
@@ -120,3 +127,104 @@ def test_precision_env_override(monkeypatch):
     assert default_precision_bits() == 320
     monkeypatch.delenv("TORUSFLOW_PRECISION_BITS")
     assert default_precision_bits() >= 64
+
+
+# -- the residue kernel against Python ints ---------------------------------
+#
+# ``_reference_orbit`` is the scalar loop frac_orbit_floats used to be; the
+# kernel must reproduce it, and plain Python-int arithmetic, bit for bit.
+
+KERNEL_SCALES = (192, 250, 256, 320)
+
+
+def _reference_orbit(step_fixed, scale_bits, count, start_fixed=0, k0=0):
+    mask = (1 << scale_bits) - 1
+    inv = 2.0 ** -scale_bits
+    r = (start_fixed + k0 * step_fixed) & mask
+    out = np.empty(count, dtype=np.float64)
+    for i in range(count):
+        out[i] = r * inv
+        r = (r + step_fixed) & mask
+    return out
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _as_limbs(values, scale):
+    """Kernel limbs holding the given residues, each formed as an offset."""
+    zero = np.zeros((1, 1), dtype=np.int64)
+    return np.concatenate([_residues(zero, [0], scale, v) for v in values], axis=1)
+
+
+@pytest.mark.parametrize("scale", KERNEL_SCALES)
+def test_orbit_floats_match_reference_loop(scale):
+    """Counts beyond one kernel chunk, negative and unreduced starts, and
+    steps that park residues near 0, 1/2 and 1."""
+    full = 1 << scale
+    cases = [
+        (parse_literal("sqrt(2) - 1").fixed(scale), 70_000, 0, 0),
+        (parse_literal("(sqrt(5) - 1) / 2").fixed(scale), 1000, -12345, 10 ** 6),
+        (-parse_literal("sqrt(3)").fixed(scale), 500, full + 7, 3),
+        (full // 2, 64, 1, 0),
+        (1, 64, full - 32, 0),
+        (full - 1, 64, 40, 0),
+        (1 << (scale - 80), 300, 0, 5),
+    ]
+    for step, count, start, k0 in cases:
+        got = frac_orbit_floats(step, scale, count, start_fixed=start, k0=k0)
+        want = _reference_orbit(step, scale, count, start_fixed=start, k0=k0)
+        assert _hex(got) == _hex(want)
+        assert got[-1] == frac_point(step, scale, k0 + count - 1, start)
+
+
+coordinate = st.integers(-(2 ** 62), 2 ** 62)
+
+
+@st.composite
+def _residue_problem(draw):
+    scale = draw(st.sampled_from(KERNEL_SCALES))
+    full = 1 << scale
+    dim = draw(st.integers(1, 3))
+    steps = draw(st.lists(st.integers(-2 * full, 2 * full), min_size=dim, max_size=dim))
+    columns = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim),
+                            min_size=1, max_size=12))
+    offset = draw(st.integers(-full, 2 * full))
+    return scale, steps, columns, offset
+
+
+@given(_residue_problem())
+def test_kernel_matches_python_ints(problem):
+    scale, steps, columns, offset = problem
+    full = 1 << scale
+    want = [(offset + sum(n * s for n, s in zip(col, steps))) % full for col in columns]
+    limbs = _residues(np.array(columns, dtype=np.int64).T, steps, scale, offset)
+    assert _to_ints(limbs) == want
+    assert _hex(_to_floats(limbs, scale)) == _hex(r * 2.0 ** -scale for r in want)
+    dist = _dist_to_int(limbs, scale)
+    assert _to_ints(dist) == [min(r, full - r) for r in want]
+    assert _hex(_to_floats(dist, scale)) == _hex(min(r, full - r) * 2.0 ** -scale
+                                                 for r in want)
+    for t in (0, want[0], want[0] + 1, full, 1 << (64 * len(limbs))):
+        assert _less(limbs, t).tolist() == [r < t for r in want]
+    lo, hi = min(want), max(want)
+    assert _to_ints(_sub(_as_limbs([hi], scale), _as_limbs([lo], scale))) == [hi - lo]
+
+
+@pytest.mark.parametrize("scale", KERNEL_SCALES)
+def test_kernel_float_conversion_on_edge_values(scale):
+    """At every bit position: powers of two and their neighbours, and
+    round-half-even ties in both directions; also zero top limbs, and 1/2,
+    where the distance folds."""
+    full = 1 << scale
+    values = [0, full - 1, full // 2, full // 2 + 1]
+    for e in range(scale):
+        values += [(1 << e) - 1, 1 << e, (1 << e) + 1]
+        if e >= 53:
+            tie = (1 << e) + (1 << (e - 53))
+            values += [tie, tie + 1, tie + (1 << (e - 52))]
+    limbs = _as_limbs(values, scale)
+    assert _to_ints(limbs) == values
+    assert _hex(_to_floats(limbs, scale)) == _hex(v * 2.0 ** -scale for v in values)
+    assert _to_ints(_dist_to_int(limbs, scale)) == [min(v, full - v) for v in values]

@@ -214,6 +214,26 @@ def test_compare_growth_table(tmp_path):
     np.testing.assert_allclose(disc, [1.0, 1.5, 1.5, 2.0], atol=1e-12)
 
 
+def test_compare_and_discrete_share_a_2d_rotation(tmp_path, capsys):
+    """Without a start, both commands start a 2-d rotation at the origin,
+    so their tables agree; a start of the wrong length is rejected."""
+    cfg = {
+        "name": "silver-2d",
+        "direction": ["sqrt(2) - 1", "1"],
+        "polytope": {"vertices": [[0.1, 0.1], [0.9, 0.1], [0.1, 0.9]]},
+        "schedule": {"t_max": 1000.0, "n_samples": 50, "kind": "geometric"},
+        "discrete": {"alpha": ["sqrt(2) - 1", "sqrt(3) - 1"]},
+    }
+    rows = compare_discrete_continuous(ExperimentConfig.parse(json.dumps(cfg)))["rows"]
+    assert [r["discrete_max"] for r in rows] == [1.25, 1.75, 4.5]
+    assert main(["discrete", "--config", _write_config(tmp_path, cfg)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "decade <=      1000: max |D_N| = 4.5\n" in out
+    cfg["discrete"]["start"] = ["0"]
+    assert main(["compare", "--config", _write_config(tmp_path, cfg)]) == EXIT_VALIDATION
+    assert "alpha and s dimension mismatch" in capsys.readouterr().err
+
+
 def test_compare_empty_schedule(tmp_path, capsys):
     cfg = {
         "name": "empty",

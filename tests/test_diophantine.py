@@ -1,14 +1,20 @@
 """Continued fractions, the weighted reciprocal series, and dyadic audits."""
 from __future__ import annotations
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
 from torusflow.algebraic import DEFAULT_FIXED_SCALE, AlgebraicValue, parse_literal
 from torusflow.diophantine import (
+    ApproximationHit,
     AuditResult,
     DyadicBlock,
+    ExponentScan,
+    SchmidtHit,
+    SchmidtScan,
     approximation_exponent_scan,
     block_capacity,
     build_profile,
@@ -308,3 +314,160 @@ def test_dyadic_audit_rejects_ragged_members(silver):
     block = DyadicBlock(ell=0, ell_ks=(0,), members=((1,), (2, 3)), capacity=1)
     with pytest.raises(ValidationError):
         dyadic_spacing_audit([silver, silver], block)
+
+
+# -- series head, exponent scan and Schmidt scan against the scalar loops ---
+#
+# The loops below are the implementations the residue kernel replaced; the
+# kernel versions must reproduce them bit for bit.
+
+
+def _reference_series_head(value, n_max, bits):
+    scale = max(bits, DEFAULT_FIXED_SCALE)
+    alpha_fixed = value.fixed(scale)
+    mask = (1 << scale) - 1
+    half = 1 << (scale - 1)
+    pow_scale = mpmath.mpf(2) ** scale
+    with mpmath.workprec(bits + 32):
+        def _terms():
+            r = 0
+            for n in range(1, n_max + 1):
+                r = (r + alpha_fixed) & mask
+                d = r if r <= half else (1 << scale) - r
+                if d <= 2 * n:
+                    raise PrecisionExhaustedError(
+                        f"||{n}*alpha|| indistinguishable from 0 at scale {scale}")
+                yield pow_scale / (n * n * d)
+
+        partial_hp = mpmath.fsum(_terms())
+        return float(partial_hp), mpmath.nstr(partial_hp, 30)
+
+
+@pytest.mark.parametrize("literal, n_max, bits", [
+    ("sqrt(2) - 1", 10000, 192),
+    ("(sqrt(5) - 1) / 2", 3000, 250),
+    ("sqrt(3) - 1", 2000, 256),
+    ("sqrt(7) / 3", 1500, 320),
+])
+def test_series_head_matches_loop(literal, n_max, bits):
+    value = parse_literal(literal)
+    got = diophantine_series(value, n_max, prec_bits=bits)
+    want_sum, want_digits = _reference_series_head(value, n_max, bits)
+    assert got.scale_bits == max(bits, DEFAULT_FIXED_SCALE)
+    assert got.partial_sum.hex() == want_sum.hex()
+    assert got.partial_sum_digits == want_digits
+
+
+def test_series_head_reports_first_unresolved_term():
+    """||3 alpha|| is about 4e-60 here, below the 2n/2**192 resolution of
+    the head; the expansion comes from 400 bits so the tail is certifiable."""
+    value = parse_literal("1/3 + sqrt(2) * 1e-60")
+    cf = continued_fraction(value, 3, prec_bits=400)
+    with pytest.raises(PrecisionExhaustedError) as want:
+        _reference_series_head(value, 100, 192)
+    with pytest.raises(PrecisionExhaustedError) as got:
+        diophantine_series(value, 100, prec_bits=192, cf=cf)
+    assert str(got.value) == str(want.value) == (
+        "||3*alpha|| indistinguishable from 0 at scale 192")
+
+
+def _reference_exponent_scan(alpha1, n_max, eta, scale_bits=DEFAULT_FIXED_SCALE):
+    value = AlgebraicValue.coerce(alpha1)
+    step = value.fixed(scale_bits)
+    mask = (1 << scale_bits) - 1
+    half = 1 << (scale_bits - 1)
+    inv = 2.0 ** -scale_bits
+    hits = []
+    worst = float("-inf")
+    r = 0
+    for n in range(1, n_max + 1):
+        r = (r + step) & mask
+        d = r if r <= half else (1 << scale_bits) - r
+        dist = d * inv
+        threshold = n ** (-eta)
+        if dist < threshold:
+            hits.append(ApproximationHit(n=n, distance=dist, threshold=threshold))
+        if n >= 2:
+            expo = float("inf") if dist == 0.0 else -math.log(dist) / math.log(n)
+            if expo > worst:
+                worst = expo
+    return ExponentScan(alpha=value.literal(), eta=eta, n_max=n_max, hits=tuple(hits),
+                        worst_exponent=worst if worst != float("-inf") else float("nan"))
+
+
+@pytest.mark.parametrize("literal, n_max, eta, scale", [
+    ("sqrt(2) - 1", 10000, 1.5, 192),
+    ("(sqrt(5) - 1) / 2", 70000, 1.0, 192),
+    ("-sqrt(3)", 5000, 1.2, 250),
+    ("sqrt(7) / 3", 3000, 0.5, 320),
+    ("1/7", 100, 1.5, 192),
+    ("0", 5, 1.5, 192),
+    ("sqrt(2) - 1", 1, 1.5, 192),
+    ("sqrt(2) - 1", 0, 1.5, 192),
+])
+def test_exponent_scan_matches_loop(literal, n_max, eta, scale):
+    got = approximation_exponent_scan(parse_literal(literal), n_max, eta, scale_bits=scale)
+    want = _reference_exponent_scan(parse_literal(literal), n_max, eta, scale_bits=scale)
+    assert got.to_csv() == want.to_csv()
+    assert got.hits == want.hits
+    assert got.worst_exponent.hex() == want.worst_exponent.hex()
+
+
+def _reference_schmidt_scan(alpha_values, forms, gamma, n_max,
+                            scale_bits=DEFAULT_FIXED_SCALE):
+    values = [AlgebraicValue.coerce(a) for a in alpha_values]
+    steps = [v.fixed(scale_bits) for v in values]
+    dim = len(values)
+    mask = (1 << scale_bits) - 1
+    form_rows = [tuple(float(c) for c in f) for f in forms]
+    inv = 2.0 ** -scale_bits
+    half = 1 << (scale_bits - 1)
+    full = 1 << scale_bits
+
+    def lattice(prefix, acc, axis):
+        if axis == dim:
+            if any(prefix):
+                yield tuple(prefix), acc & mask
+            return
+        base = (acc - (n_max + 1) * steps[axis]) & mask
+        for c in range(-n_max, n_max + 1):
+            base = (base + steps[axis]) & mask
+            yield from lattice(prefix + [c], base, axis + 1)
+
+    hits = []
+    fitted_c = float("inf")
+    for n, r in lattice([], 0, 0):
+        d = r if r <= half else full - r
+        dist = d * inv
+        prod = 1.0
+        for row in form_rows:
+            prod *= abs(sum(c * ni for c, ni in zip(row, n))) + 1.0
+        norm = math.sqrt(sum(ni * ni for ni in n))
+        lhs = dist * prod
+        rhs = norm ** (-gamma)
+        if lhs < rhs:
+            hits.append(SchmidtHit(n=n, lhs=lhs, rhs=rhs))
+        scaled = lhs * norm ** gamma
+        if scaled < fitted_c:
+            fitted_c = scaled
+    return SchmidtScan(gamma=gamma, n_max=n_max, hits=tuple(hits), fitted_c=fitted_c)
+
+
+@pytest.mark.parametrize("literals, forms, gamma, n_max", [
+    (["sqrt(2) - 1"], [[1.0]], 0.5, 2000),
+    (["sqrt(2) - 1", "sqrt(3) - 1"], [[1.0, 0.0]], 0.5, 16),
+    (["sqrt(2) - 1", "-sqrt(5)"], [[0.5, -1.25], [0.1, 0.3]], 0.75, 12),
+    (["sqrt(2) - 1", "sqrt(3) - 1", "sqrt(5) - 2"], [[1.0, 0.0, 0.0]], 1.0, 3),
+    (["1/2", "1/3"], [[1.0, 1.0]], 0.5, 4),
+    (["sqrt(2) - 1"], [[1.0]], 0.5, 0),
+])
+def test_schmidt_scan_matches_loop(literals, forms, gamma, n_max):
+    values = [parse_literal(a) for a in literals]
+    got = schmidt_inequality_scan(values, forms, gamma, n_max)
+    want = _reference_schmidt_scan(values, forms, gamma, n_max)
+    assert got.hits == want.hits
+    assert all(type(v) is int for h in got.hits for v in h.n)
+    assert [(h.lhs.hex(), h.rhs.hex()) for h in got.hits] == [
+        (h.lhs.hex(), h.rhs.hex()) for h in want.hits]
+    assert got.fitted_c.hex() == want.fitted_c.hex()
+    assert got.to_csv() == want.to_csv()

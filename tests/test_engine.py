@@ -153,6 +153,27 @@ def test_decade_maxima_golden_prefix():
     assert [(n, m) for n, m in rows] == GOLDEN_DECADES_1E4
 
 
+def test_discrete_functions_validate_dimensions_and_length():
+    """alpha and s need one coordinate each per axis and the orbit length
+    must be nonnegative; zipping them would drop the extra alpha."""
+    alpha = [parse_literal("sqrt(2) - 1"), parse_literal("sqrt(3) - 1")]
+    box2 = Box.make((0.0, 0.0), (0.5, 0.5))
+    for s in ([ZERO], [ZERO, ZERO, ZERO]):
+        with pytest.raises(ValidationError, match="alpha and s dimension mismatch"):
+            discrete_decade_maxima(alpha, s, box2, 1000)
+        with pytest.raises(ValidationError, match="alpha and s dimension mismatch"):
+            discrete_discrepancy(alpha, s, box2, 1000)
+    with pytest.raises(ValidationError, match="negative orbit length"):
+        discrete_decade_maxima(alpha, [ZERO, ZERO], box2, -1)
+    with pytest.raises(ValidationError, match="negative orbit length"):
+        discrete_discrepancy(alpha, [ZERO, ZERO], box2, -1)
+    with pytest.raises(ValidationError, match="box dimension mismatch"):
+        discrete_decade_maxima(alpha, [ZERO, ZERO], Box.make((0.0,), (0.5,)), 10)
+    rows = discrete_decade_maxima(alpha, [ZERO, ZERO], box2, 1000)
+    assert rows[-1] == (1000, 4.5)
+    assert discrete_decade_maxima(alpha, [ZERO, ZERO], box2, 0) == []
+
+
 def test_box_sup_value_and_argmax():
     direction = [parse_literal("sqrt(2)"), parse_literal("1")]
     r = box_discrepancy_sup(direction, [ZERO, ZERO], 11, 3)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from torusflow.algebraic import parse_literal
+from torusflow.algebraic import AlgebraicValue, parse_literal
 from torusflow.diophantine import diophantine_series
 from torusflow.errors import ValidationError
 from torusflow.fourier import (
@@ -17,7 +17,6 @@ from torusflow.fourier import (
     fourier_coeff_exact_3d,
     fourier_coeffs_2d,
     fourier_majorant_2d,
-    fourier_majorant_3d,
     flag_decay_envelope,
     per_coefficient_bound,
     polygon_discrepancy_bound,
@@ -115,6 +114,45 @@ def test_majorant_requires_matching_series(triangle_section, silver):
                             per_coeff_k=PER_COEFF_K)
     bare = fourier_majorant_2d(triangle_section, silver, 500)
     assert not bare.rigorous and bare.tail == 0.0
+
+
+def _reference_majorant_head(sec, alpha1, n_max, scale_bits=192):
+    """The scalar loop the 2d majorant head was computed with."""
+    coeffs = fourier_coeffs_2d(sec, n_max)
+    alpha_fix = AlgebraicValue.coerce(alpha1).fixed(scale_bits)
+    full = 1 << scale_bits
+    half = full >> 1
+    mask = full - 1
+    inv = []
+    r = 0
+    for n in range(1, n_max + 1):
+        r = (r + alpha_fix) & mask
+        dist = r if r <= half else full - r
+        if dist == 0:
+            raise ValidationError(f"||{n} alpha|| = 0 at working scale; alpha rational?")
+        inv.append(full / dist)
+    return float(np.sum(np.abs(coeffs) * np.array(inv)))
+
+
+@pytest.mark.parametrize("literal, n_max, scale", [
+    ("sqrt(2) - 1", 500, 192),
+    ("(sqrt(5) - 1) / 2", 2000, 250),
+    ("sqrt(3) - 1", 300, 320),
+])
+def test_majorant_head_matches_loop(triangle_section, literal, n_max, scale):
+    alpha = parse_literal(literal)
+    got = fourier_majorant_2d(triangle_section, alpha, n_max, scale_bits=scale)
+    want = _reference_majorant_head(triangle_section, alpha, n_max, scale)
+    assert got.head.hex() == want.hex()
+
+
+def test_majorant_rejects_zero_distance(triangle_section):
+    with pytest.raises(ValidationError) as want:
+        _reference_majorant_head(triangle_section, parse_literal("3/8"), 50)
+    with pytest.raises(ValidationError) as got:
+        fourier_majorant_2d(triangle_section, parse_literal("3/8"), 50)
+    assert str(got.value) == str(want.value) == (
+        "||8 alpha|| = 0 at working scale; alpha rational?")
 
 
 def test_unit_square_flags():
@@ -223,13 +261,6 @@ def test_arrangement_flags_and_fit(box3_arrangement):
     assert fit.c_inner > 0 and fit.c_outer > 0
     expected = fit.c_outer <= 2 * fit.c_inner and fit.c_inner <= 2 * fit.c_outer
     assert fit.stable == expected
-
-
-def test_majorant_3d_structure(box3_arrangement, box3_direction):
-    m = fourier_majorant_3d(box3_arrangement, box3_direction, 12)
-    assert not m.rigorous
-    assert m.note
-    np.testing.assert_allclose(m.value, m.head + m.tail, rtol=1e-15)
 
 
 def test_coefficient_csv_outputs(triangle_section, triangle, silver_direction,
