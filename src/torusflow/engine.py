@@ -439,11 +439,13 @@ class BoxSup:
     grid: int
 
 
-def _require_nonzero_coords(direction: Direction):
+def _check_box_args(direction: Direction, grid: int):
     for v in direction.values:
         fr = v.as_fraction()
         if (fr is not None and fr == 0) or float(v) == 0.0:
             raise ValidationError("box discrepancy needs every direction coordinate nonzero")
+    if grid < 1:
+        raise ValidationError("grid must be >= 1")
 
 
 class _BoxSweep2D:
@@ -453,41 +455,42 @@ class _BoxSweep2D:
     (G(x + b2*q) - G(x + a2*q)) / q with q = alpha_1 and
     G(u) = floor(u)*len + (clamped fractional part), which splits over grid
     values: summing B(u, c) = floor(u)*c + min(u - floor(u), c) over the
-    orbit for each (shift c2, cap c1) pair reduces every grid box to a
-    4-term combination of one (g+1) x (g+1) running matrix.
+    orbit for each (shift c2, cap c1) pair gives one (g+1) x (g+1) running
+    matrix.  The area term t*(b2 - a2)*(b1 - a1) is a rectangle sum of
+    t * outer(L, L) over the grid levels L, so with E = running/q - that
+    outer product every grid box's Delta_t is a rectangle sum of E.  On
+    rows i2 < j2 the best box spans the argmin and argmax of
+    D = E[j2] - E[i2], with value max(D) - min(D): O(g^3) work per time.
     """
 
     def __init__(self, inst: FlowInstance, grid: int):
-        if inst.d != 2:
-            raise ValidationError("the fast box sweep is planar")
-        if any(abs(float(v)) < 1e-15 for v in inst.direction.values):
-            raise ValidationError("zero direction coordinate")
         self.inst = inst
         self.g = grid
         self.alpha1 = float(inst.direction.values[0])
         levels = np.arange(grid + 1) / grid
         self.levels = levels
         self.shifts = levels * self.alpha1
-        lo_idx, hi_idx = np.triu_indices(grid + 1, k=1)
-        self.lo_idx, self.hi_idx = lo_idx, hi_idx
-        width = levels[hi_idx] - levels[lo_idx]
-        self.area = np.outer(width, width)  # rows: t-axis pair, cols: x-axis pair
+        self.level_area = np.outer(levels, levels)
+        self.lo_idx, self.hi_idx = np.triu_indices(grid + 1, k=1)
 
-    def sups(self, t_values: np.ndarray, want_argmax: bool = False):
+    def sups(self, t_values, want_argmax: bool = False):
+        """Grid sups at each time and, if asked, each argmax box as
+        [[lo1, lo2], [hi1, hi2]] in an array of shape (times, 2, 2)."""
         inst = self.inst
         g = self.g
-        t_values = np.asarray(t_values, dtype=np.int64)
-        if np.any(t_values <= 0):
+        times = np.asarray(t_values)
+        if times.ndim != 1 or times.dtype.kind not in "iuf" or not np.all(
+                np.isfinite(times) & (times == np.floor(times)) & (times >= 1)):
             raise ValidationError("box sweep times must be positive integers")
-        t_max = int(t_values.max())
-        sups = np.zeros(len(t_values))
-        best = [None] * len(t_values) if want_argmax else None
+        order = np.argsort(times)
+        sorted_t = times[order].astype(np.int64)
+        t_max = int(sorted_t.max(initial=0))
+        sups = np.zeros(len(times))
+        boxes = np.zeros((len(times), 2, 2), dtype=np.int64)
 
         carry = np.zeros((g + 1, g + 1))
         chunk = 4096
         eval_batch = 256
-        order = np.argsort(t_values)
-        pos = 0  # next t (in sorted order) not yet evaluated
         for start in range(0, t_max, chunk):
             count = min(chunk, t_max - start)
             x = frac_orbit_floats(inst.alpha_fixed[0], inst.scale_bits, count,
@@ -500,34 +503,27 @@ class _BoxSweep2D:
             cum = np.cumsum(b, axis=0)
             cum += carry[None, :, :]
 
-            sel = []
-            while pos < len(order):
-                t_here = int(t_values[order[pos]])
-                if t_here > start + count:
-                    break
-                sel.append((order[pos], t_here - start - 1))
-                pos += 1
-            for i in range(0, len(sel), eval_batch):
-                batch = sel[i:i + eval_batch]
-                rows = cum[[r for _, r in batch]]
-                p2 = rows[:, self.hi_idx, :] - rows[:, self.lo_idx, :]
-                q = p2[:, :, self.hi_idx] - p2[:, :, self.lo_idx]
-                ts = t_values[[j for j, _ in batch]].astype(np.float64)
-                delta = q / self.alpha1 - ts[:, None, None] * self.area[None, :, :]
-                np.abs(delta, out=delta)
-                flat = delta.reshape(len(batch), -1)
-                local = flat.max(axis=1)
-                for bi, (j, _) in enumerate(batch):
-                    sups[j] = local[bi]
-                    if want_argmax:
-                        am = int(flat[bi].argmax())
-                        r2, r1 = divmod(am, len(self.lo_idx))
-                        best[j] = (
-                            (self.levels[self.lo_idx[r1]], self.levels[self.lo_idx[r2]]),
-                            (self.levels[self.hi_idx[r1]], self.levels[self.hi_idx[r2]]),
-                        )
-            carry = cum[-1].copy() if count else carry
-        return (sups, best) if want_argmax else (sups, None)
+            first, stop = np.searchsorted(sorted_t, [start + 1, start + count + 1])
+            for i in range(first, stop, eval_batch):
+                ts = sorted_t[i:min(i + eval_batch, stop)]
+                at = order[i:i + len(ts)]
+                e = cum[ts - start - 1] / self.alpha1 - ts[:, None, None] * self.level_area
+                # axes (x level, t level, time), so each range reduces whole rows
+                et = np.ascontiguousarray(e.transpose(2, 1, 0))
+                ranges = np.concatenate([np.ptp(et[:, i2 + 1:] - et[:, i2, None], axis=0)
+                                         for i2 in range(g)])  # row pairs in triu order
+                sups[at] = ranges.max(axis=0)
+                if want_argmax:
+                    pair = ranges.argmax(axis=0)
+                    k = np.arange(len(ts))
+                    row = e[k, self.hi_idx[pair]] - e[k, self.lo_idx[pair]]
+                    j1 = row.argmax(axis=1)
+                    i1 = row.argmin(axis=1)
+                    i1[i1 == j1] = g  # D is flat: every box on the rows is 0
+                    boxes[at, :, 0] = np.sort([i1, j1], axis=0).T
+                    boxes[at, :, 1] = np.stack([self.lo_idx[pair], self.hi_idx[pair]], axis=1)
+            carry = cum[-1].copy()
+        return sups, (self.levels[boxes] if want_argmax else None)
 
 
 def box_discrepancy_sup(direction, s, t, grid: int,
@@ -541,9 +537,9 @@ def box_discrepancy_sup(direction, s, t, grid: int,
     """
     if not isinstance(direction, Direction):
         direction = Direction.make(direction)
-    _require_nonzero_coords(direction)
-    if grid < 1:
-        raise ValidationError("grid must be >= 1")
+    _check_box_args(direction, grid)
+    if not math.isfinite(t):
+        raise ValidationError("box sup time must be finite")
     s_vals = tuple(AlgebraicValue.coerce(v) for v in s)
     s_zero = all(v.as_fraction() == 0 for v in s_vals)
 
@@ -553,9 +549,9 @@ def box_discrepancy_sup(direction, s, t, grid: int,
                                   scale_bits=scale_bits, want_section=False)
         sweep = _BoxSweep2D(inst, grid)
         sups, best = sweep.sups(np.array([int(t)]), want_argmax=True)
-        (lo1, lo2), (hi1, hi2) = best[0]
-        return BoxSup(sup=float(sups[0]), box_lo=(float(lo1), float(lo2)),
-                      box_hi=(float(hi1), float(hi2)), t=float(t), grid=grid)
+        lo, hi = best[0].tolist()
+        return BoxSup(sup=float(sups[0]), box_lo=tuple(lo), box_hi=tuple(hi),
+                      t=float(t), grid=grid)
 
     # generic fallback: every grid box through the exact engine
     d = direction.d
@@ -583,12 +579,12 @@ def box_discrepancy_profile(direction, t_values, grid: int,
     """Grid box sup at many integer times (planar, start 0) in one sweep."""
     if not isinstance(direction, Direction):
         direction = Direction.make(direction)
-    _require_nonzero_coords(direction)
+    _check_box_args(direction, grid)
     direction.require_normalized()
     inst = FlowInstance.build(direction, (0, 0), Polytope.unit_cube(2),
                               scale_bits=scale_bits, want_section=False)
     sweep = _BoxSweep2D(inst, grid)
-    sups, _ = sweep.sups(np.asarray(t_values, dtype=np.int64))
+    sups, _ = sweep.sups(t_values)
     return sups
 
 

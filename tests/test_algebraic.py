@@ -6,13 +6,14 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from torusflow.algebraic import (
     AlgebraicValue,
     _dist_to_int,
     _less,
+    _normalized_floats,
     _residues,
     _sub,
     _to_floats,
@@ -160,8 +161,9 @@ def _as_limbs(values, scale):
 
 @pytest.mark.parametrize("scale", KERNEL_SCALES)
 def test_orbit_floats_match_reference_loop(scale):
-    """Counts beyond one kernel chunk, negative and unreduced starts, and
-    steps that park residues near 0, 1/2 and 1."""
+    """Counts beyond one kernel chunk, negative and unreduced starts,
+    steps that park residues near 0, 1/2 and 1, and an orbit whose residues
+    are all below 2**-26, so every top limb is short."""
     full = 1 << scale
     cases = [
         (parse_literal("sqrt(2) - 1").fixed(scale), 70_000, 0, 0),
@@ -171,6 +173,7 @@ def test_orbit_floats_match_reference_loop(scale):
         (1, 64, full - 32, 0),
         (full - 1, 64, 40, 0),
         (1 << (scale - 80), 300, 0, 5),
+        ((1 << (scale - 39)) + 12345, 4096, 7, 0),
     ]
     for step, count, start, k0 in cases:
         got = frac_orbit_floats(step, scale, count, start_fixed=start, k0=k0)
@@ -210,6 +213,23 @@ def test_kernel_matches_python_ints(problem):
         assert _less(limbs, t).tolist() == [r < t for r in want]
     lo, hi = min(want), max(want)
     assert _to_ints(_sub(_as_limbs([hi], scale), _as_limbs([lo], scale))) == [hi - lo]
+
+
+@st.composite
+def _values_of_any_length(draw):
+    scale = draw(st.sampled_from((64,) + KERNEL_SCALES))  # 64: a single limb
+    lengths = st.integers(0, scale).flatmap(lambda b: st.integers(0, (1 << b) - 1))
+    return scale, draw(st.lists(lengths, min_size=1, max_size=40))
+
+
+@given(_values_of_any_length())
+@example((64, [(1 << 63) + (1 << 10), 3]))  # a round-half-even tie in one limb
+def test_normalized_floats_match_python_ints(case):
+    """The numpy conversion _to_floats uses when many values are short, on
+    values of every bit length."""
+    scale, values = case
+    got = _normalized_floats(_as_limbs(values, scale), scale)
+    assert _hex(got) == _hex(v * 2.0 ** -scale for v in values)
 
 
 @pytest.mark.parametrize("scale", KERNEL_SCALES)

@@ -3,10 +3,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from torusflow.algebraic import AlgebraicValue, parse_literal
+from torusflow.algebraic import AlgebraicValue, frac_orbit_floats, parse_literal
 from torusflow.engine import (
     FlowInstance,
+    _BoxSweep2D,
     box_discrepancy_profile,
     box_discrepancy_sup,
     delta_T_exact,
@@ -198,6 +201,146 @@ def test_box_sup_rejects_zero_coordinate():
     with pytest.raises(ValidationError):
         box_discrepancy_sup([parse_literal("0"), parse_literal("1")],
                             [ZERO, ZERO], 5, 3)
+
+
+def test_box_functions_validate_times_and_grid():
+    """Times are checked before any cast: 1.7 used to run as t = 1, and an
+    infinite single time raised OverflowError."""
+    direction = [parse_literal("sqrt(2)"), parse_literal("1")]
+    for bad in ([1.7, 2.2], [0, 3], [-2], [np.nan], [np.inf], [[1, 2]], ["3"]):
+        with pytest.raises(ValidationError, match="positive integers"):
+            box_discrepancy_profile(direction, np.array(bad), 4)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValidationError, match="finite"):
+            box_discrepancy_sup(direction, [ZERO, ZERO], bad, 4)
+    with pytest.raises(ValidationError, match="grid"):
+        box_discrepancy_profile(direction, [1, 2], 0)
+    empty = box_discrepancy_profile(direction, [], 16)
+    assert empty.shape == (0,)
+    np.testing.assert_array_equal(box_discrepancy_profile(direction, [2.0, 1.0], 4),
+                                  box_discrepancy_profile(direction, [2, 1], 4))
+
+
+def _reference_sweep(inst, grid, t_values):
+    """The O(g^4) grid-box sweep: every grid box's Delta_t as a 4-term
+    combination of the running matrix, minus t times the box area."""
+    g = grid
+    alpha1 = float(inst.direction.values[0])
+    levels = np.arange(g + 1) / g
+    shifts = levels * alpha1
+    lo_idx, hi_idx = np.triu_indices(g + 1, k=1)
+    width = levels[hi_idx] - levels[lo_idx]
+    area = np.outer(width, width)  # rows: t-axis pair, cols: x-axis pair
+    t_values = np.asarray(t_values, dtype=np.int64)
+    t_max = int(t_values.max())
+    sups = np.zeros(len(t_values))
+    best = [None] * len(t_values)
+    carry = np.zeros((g + 1, g + 1))
+    order = np.argsort(t_values)
+    pos = 0
+    for start in range(0, t_max, 4096):
+        count = min(4096, t_max - start)
+        x = frac_orbit_floats(inst.alpha_fixed[0], inst.scale_bits, count,
+                              start_fixed=inst.x0_fixed[0], k0=start)
+        u = x[:, None] + shifts[None, :]
+        fl = np.floor(u)
+        fr = u - fl
+        b = (fl[:, :, None] * levels[None, None, :]
+             + np.minimum(fr[:, :, None], levels[None, None, :]))
+        cum = np.cumsum(b, axis=0)
+        cum += carry[None, :, :]
+        while pos < len(order) and t_values[order[pos]] <= start + count:
+            j = order[pos]
+            pos += 1
+            row = cum[t_values[j] - start - 1]
+            p2 = row[hi_idx, :] - row[lo_idx, :]
+            q = p2[:, hi_idx] - p2[:, lo_idx]
+            delta = np.abs(q / alpha1 - float(t_values[j]) * area)
+            am = int(delta.argmax())
+            sups[j] = delta.flat[am]
+            r2, r1 = divmod(am, len(lo_idx))
+            best[j] = ((levels[lo_idx[r1]], levels[lo_idx[r2]]),
+                       (levels[hi_idx[r1]], levels[hi_idx[r2]]))
+        carry = cum[-1].copy()
+    return sups, best
+
+
+def _sweep_tol(t, alpha1):
+    """Rounding allowance between two sweeps that share the running matrix.
+
+    The entries of E = running/alpha1 - t*outer(L, L) are below 2m with
+    m = t*(1 + 1/|alpha1|), since every running entry is a sum of t terms of
+    size at most |alpha1| + 2.  Either sweep rounds each of the four entries
+    a box uses at most three times and then takes differences below 8m,
+    which stays within 20 ulps of m; the two together within 40.
+    """
+    return 40 * np.spacing(t * (1 + 1 / abs(alpha1)))
+
+
+def _exact_tol(t, alpha1):
+    """Allowance between a sweep and delta_T_exact for the same box: the
+    running sums add t terms one after another, so each of the four entries
+    a box uses carries up to gamma_t times t*(|alpha1| + 2) (Higham's
+    bound), divided by |alpha1|; the pairwise window sum of the exact
+    engine is far inside that."""
+    eps = np.finfo(float).eps
+    return 2 * eps * t * t * (1 + 2 / abs(alpha1)) + _sweep_tol(t, alpha1)
+
+
+SWEEP_TIMES = np.array([4097, 3, 4096, 1, 4095, 3, 8193, 112, 4097, 4096]
+                       + list(range(200, 0, -7)))
+
+
+@pytest.mark.parametrize("alpha", ["sqrt(2)", "sqrt(11) - 3", "-sqrt(3) / 7"])
+def test_box_sweep_matches_reference(alpha):
+    """The O(g^3) sweep against the O(g^4) one, at times that cross the
+    4096-point chunk boundary and arrive unsorted and repeated; each argmax
+    box is a grid box and reproduces its sup through the exact engine."""
+    direction = [parse_literal(alpha), parse_literal("1")]
+    alpha1 = float(direction[0])
+    inst = FlowInstance.build(direction, (ZERO, ZERO), Polytope.unit_cube(2),
+                              want_section=False)
+    tol = _sweep_tol(SWEEP_TIMES, alpha1)
+    exact_tol = _exact_tol(SWEEP_TIMES, alpha1)
+    for g in (1, 2, 3, 4, 16):
+        sups, boxes = _BoxSweep2D(inst, g).sups(SWEEP_TIMES, want_argmax=True)
+        want, _ = _reference_sweep(inst, g, SWEEP_TIMES)
+        assert np.all(np.abs(sups - want) <= tol)
+        assert np.all(boxes[:, 0] < boxes[:, 1])
+        np.testing.assert_array_equal(boxes * g, np.round(boxes * g))
+        for t, sup, (lo, hi), atol in zip(SWEEP_TIMES, sups, boxes, exact_tol):
+            box = FlowInstance.build(direction, (ZERO, ZERO),
+                                     Polytope.box(tuple(lo), tuple(hi)))
+            assert abs(abs(delta_T_exact(box, float(t))) - sup) <= atol
+
+
+@st.composite
+def _surd_box_problem(draw):
+    """A quadratic-surd slope (a + b*sqrt(D))/c, a grid of at most 8 and a
+    grid box on it, and an integer time of at most 300."""
+    a = draw(st.integers(-4, 4))
+    b = draw(st.integers(1, 3)) * draw(st.sampled_from([-1, 1]))
+    root = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    c = draw(st.integers(1, 6))
+    grid = draw(st.integers(1, 8))
+    x = sorted(draw(st.lists(st.integers(0, grid), min_size=2, max_size=2, unique=True)))
+    y = sorted(draw(st.lists(st.integers(0, grid), min_size=2, max_size=2, unique=True)))
+    t = draw(st.integers(1, 300))
+    return f"({a} + {b} * sqrt({root})) / {c}", grid, (x[0], y[0]), (x[1], y[1]), t
+
+
+@given(_surd_box_problem())
+def test_box_sup_bounds_every_grid_box(problem):
+    """The grid sup is at least |Delta_t| of any one grid box."""
+    alpha, grid, lo, hi, t = problem
+    direction = [parse_literal(alpha), parse_literal("1")]
+    alpha1 = float(direction[0])
+    box = FlowInstance.build(direction, (ZERO, ZERO),
+                             Polytope.box(tuple(np.divide(lo, grid)),
+                                          tuple(np.divide(hi, grid))))
+    observed = abs(delta_T_exact(box, float(t)))
+    r = box_discrepancy_sup(direction, [ZERO, ZERO], t, grid)
+    assert r.sup >= observed - _exact_tol(t, alpha1)
 
 
 def test_trace_csv_and_metadata(triangle_instance):
