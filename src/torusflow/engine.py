@@ -480,8 +480,9 @@ class _BoxSweep2D:
         g = self.g
         times = np.asarray(t_values)
         if times.ndim != 1 or times.dtype.kind not in "iuf" or not np.all(
-                np.isfinite(times) & (times == np.floor(times)) & (times >= 1)):
-            raise ValidationError("box sweep times must be positive integers")
+                np.isfinite(times) & (times == np.floor(times)) & (times >= 1)
+                & (times < 2.0 ** 63)):
+            raise ValidationError("box sweep times must be positive integers below 2**63")
         order = np.argsort(times)
         sorted_t = times[order].astype(np.int64)
         t_max = int(sorted_t.max(initial=0))

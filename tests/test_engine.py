@@ -204,10 +204,11 @@ def test_box_sup_rejects_zero_coordinate():
 
 
 def test_box_functions_validate_times_and_grid():
-    """Times are checked before any cast: 1.7 used to run as t = 1, and an
-    infinite single time raised OverflowError."""
+    """Times are checked before any cast: 1.7 used to run as t = 1, 1e19
+    wrapped to a negative int64 and zeroed every sup, and an infinite single
+    time raised OverflowError."""
     direction = [parse_literal("sqrt(2)"), parse_literal("1")]
-    for bad in ([1.7, 2.2], [0, 3], [-2], [np.nan], [np.inf], [[1, 2]], ["3"]):
+    for bad in ([1.7, 2.2], [0, 3], [-2], [np.nan], [np.inf], [1e19, 3.0], [[1, 2]], ["3"]):
         with pytest.raises(ValidationError, match="positive integers"):
             box_discrepancy_profile(direction, np.array(bad), 4)
     for bad in (np.inf, np.nan):
