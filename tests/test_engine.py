@@ -235,7 +235,6 @@ def _reference_sweep(inst, grid, t_values):
     t_values = np.asarray(t_values, dtype=np.int64)
     t_max = int(t_values.max())
     sups = np.zeros(len(t_values))
-    best = [None] * len(t_values)
     carry = np.zeros((g + 1, g + 1))
     order = np.argsort(t_values)
     pos = 0
@@ -256,14 +255,9 @@ def _reference_sweep(inst, grid, t_values):
             row = cum[t_values[j] - start - 1]
             p2 = row[hi_idx, :] - row[lo_idx, :]
             q = p2[:, hi_idx] - p2[:, lo_idx]
-            delta = np.abs(q / alpha1 - float(t_values[j]) * area)
-            am = int(delta.argmax())
-            sups[j] = delta.flat[am]
-            r2, r1 = divmod(am, len(lo_idx))
-            best[j] = ((levels[lo_idx[r1]], levels[lo_idx[r2]]),
-                       (levels[hi_idx[r1]], levels[hi_idx[r2]]))
+            sups[j] = np.abs(q / alpha1 - float(t_values[j]) * area).max()
         carry = cum[-1].copy()
-    return sups, best
+    return sups
 
 
 def _sweep_tol(t, alpha1):
@@ -305,7 +299,7 @@ def test_box_sweep_matches_reference(alpha):
     exact_tol = _exact_tol(SWEEP_TIMES, alpha1)
     for g in (1, 2, 3, 4, 16):
         sups, boxes = _BoxSweep2D(inst, g).sups(SWEEP_TIMES, want_argmax=True)
-        want, _ = _reference_sweep(inst, g, SWEEP_TIMES)
+        want = _reference_sweep(inst, g, SWEEP_TIMES)
         assert np.all(np.abs(sups - want) <= tol)
         assert np.all(boxes[:, 0] < boxes[:, 1])
         np.testing.assert_array_equal(boxes * g, np.round(boxes * g))
