@@ -10,7 +10,6 @@ continued-fraction tail bound.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import io
 import json
@@ -34,26 +33,12 @@ from .geometry import (
     Polytope,
     SectionFunction2D,
     cot_angles,
-    polygon_moments,
 )
-
-_TWO_PI = 2.0 * math.pi
-
-
-def _unit_phase(theta: float) -> complex:
-    """e^{-2*pi*i*theta} computed from theta mod 1 (phase stays accurate
-    even when theta itself is large)."""
-    return cmath.exp(-2j * math.pi * math.fmod(theta, 1.0))
-
 
 @dataclass(frozen=True)
 class FourierCoefficient:
     n: tuple[int, ...]
     value: complex
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -61,48 +46,44 @@ class FourierCoefficient:
 # ---------------------------------------------------------------------------
 
 
-def fourier_coeff_exact_2d(sec: SectionFunction2D, n: int) -> FourierCoefficient:
-    """Exact Fourier coefficient of a piecewise-linear circle function.
+def _coeffs_2d(sec: SectionFunction2D, ns: np.ndarray) -> np.ndarray:
+    """Exact coefficients of a piecewise-linear circle function at the
+    nonzero integers ns.
 
     Two integrations by parts leave only the slope sum
     sum_j a_j (e(-n c_j) - e(-n c_{j-1})) / (4 pi^2 n^2); the by-parts
     boundary telescope vanishes for a continuous periodic function and is
     recomputed numerically here as a guard.
     """
-    if n == 0:
-        return FourierCoefficient((0,), complex(sec.mean()))
     c = np.asarray(sec.breakpoints)
     a = np.asarray(sec.slopes)
     b = np.asarray(sec.intercepts)
-    phases = np.array([_unit_phase(n * x) for x in c])
-
-    telescope = 0.0j
-    for j in range(len(a)):
-        hi = a[j] * c[j + 1] + b[j]
-        lo = a[j] * c[j] + b[j]
-        telescope += hi * phases[j + 1] - lo * phases[j]
-    if abs(telescope) > 1e-8 * max(1.0, float(np.max(np.abs(b)))):
+    theta = np.mod(ns[:, None] * c[None, :], 1.0)
+    phases = np.exp(-2j * np.pi * theta)
+    telescope = np.sum((a * c[1:] + b) * phases[:, 1:] - (a * c[:-1] + b) * phases[:, :-1],
+                       axis=1)
+    worst = float(np.max(np.abs(telescope)))
+    if worst > 1e-8 * max(1.0, float(np.max(np.abs(b)))):
         raise ValidationError(
-            f"boundary telescope {abs(telescope):.3e} is not negligible; "
+            f"boundary telescope {worst:.3e} is not negligible; "
             "section is discontinuous or not periodic"
         )
+    sums = (phases[:, 1:] - phases[:, :-1]) @ a.astype(np.complex128)
+    return sums / (4.0 * np.pi ** 2 * ns * ns)
 
-    total = complex(np.sum(a * (phases[1:] - phases[:-1])))
-    value = total / (4.0 * math.pi ** 2 * n * n)
-    return FourierCoefficient((n,), value)
+
+def fourier_coeff_exact_2d(sec: SectionFunction2D, n: int) -> FourierCoefficient:
+    """The coefficient at one integer n; the mean at n = 0."""
+    if n == 0:
+        return FourierCoefficient((0,), complex(sec.mean()))
+    return FourierCoefficient((n,), complex(_coeffs_2d(sec, np.array([float(n)]))[0]))
 
 
 def fourier_coeffs_2d(sec: SectionFunction2D, n_max: int) -> np.ndarray:
     """Vector of exact coefficients for n = 1..n_max (complex array)."""
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    c = np.asarray(sec.breakpoints)
-    a = np.asarray(sec.slopes)
-    ns = np.arange(1, n_max + 1, dtype=np.float64)
-    theta = np.mod(ns[:, None] * c[None, :], 1.0)
-    phases = np.exp(-2j * np.pi * theta)
-    sums = (phases[:, 1:] - phases[:, :-1]) @ a.astype(np.complex128)
-    return sums / (4.0 * np.pi ** 2 * ns * ns)
+    return _coeffs_2d(sec, np.arange(1, n_max + 1, dtype=np.float64))
 
 
 def per_coefficient_bound(p: Polytope, direction: Direction) -> float:
@@ -242,10 +223,6 @@ class FlagForm:
     vectors: tuple[tuple[float, ...], ...]
     multiplicity: int = 1
 
-    def evaluate(self, n) -> tuple[float, ...]:
-        n = np.asarray(n, dtype=np.float64)
-        return tuple(float(np.dot(np.asarray(v), n)) for v in self.vectors)
-
 
 @dataclass(frozen=True)
 class FlagFormSet:
@@ -273,29 +250,21 @@ def _gram_schmidt(rows: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _dedup_key(vectors: list[np.ndarray]) -> tuple:
+    """Each vector rounded to 9 digits, its first component above 1e-12 made positive."""
     key = []
     for v in vectors:
-        w = v.copy()
-        for comp in w:
-            if abs(comp) > 1e-12:
-                if comp < 0:
-                    w = -w
-                break
-        key.append(tuple(np.round(w, 9)))
+        lead = v[np.abs(v) > 1e-12]
+        key.append(tuple(np.round(-v if len(lead) and lead[0] < 0 else v, 9)))
     return tuple(key)
 
 
-def flag_forms(polygon_vertices: np.ndarray) -> FlagFormSet:
-    """All complete flags (edge, endpoint) of a convex polygon, as
-    orthonormal form tuples; duplicates by direction are merged with a
-    multiplicity count.
-    """
+def _flag_chains(polygon_vertices):
+    """Orthonormal (edge normal, endpoint) chain of every complete flag of a
+    convex polygon."""
     verts = np.asarray(polygon_vertices, dtype=np.float64)
     if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
         raise ValidationError("flags need a planar polygon with >= 3 vertices")
     m = len(verts)
-    seen: dict[tuple, list] = {}
-    order = []
     for i in range(m):
         p, q = verts[i], verts[(i + 1) % m]
         edge = q - p
@@ -304,137 +273,174 @@ def flag_forms(polygon_vertices: np.ndarray) -> FlagFormSet:
         normal = np.array([edge[1], -edge[0]])  # outward for CCW order
         for w, other in ((q, p), (p, q)):
             into_w = w - other  # endpoint's outward direction within the edge
-            chain = _gram_schmidt([normal, into_w])
-            key = _dedup_key(chain)
-            if key in seen:
-                seen[key][1] += 1
-            else:
-                seen[key] = [chain, 1]
-                order.append(key)
-    forms = tuple(
-        FlagForm(vectors=tuple(tuple(v) for v in seen[k][0]), multiplicity=seen[k][1])
-        for k in order
-    )
-    return FlagFormSet(forms=forms)
+            yield _gram_schmidt([normal, into_w])
+
+
+def _merge_chains(chains) -> FlagFormSet:
+    """Forms from chains, duplicates by direction merged with a multiplicity
+    count, in order of first appearance."""
+    seen: dict[tuple, list] = {}
+    for chain in chains:
+        seen.setdefault(_dedup_key(chain), [chain, 0])[1] += 1
+    return FlagFormSet(forms=tuple(
+        FlagForm(vectors=tuple(tuple(v) for v in chain), multiplicity=mult)
+        for chain, mult in seen.values()))
+
+
+def flag_forms(polygon_vertices: np.ndarray) -> FlagFormSet:
+    """All complete flags (edge, endpoint) of a convex polygon, as
+    orthonormal form tuples; duplicates by direction are merged with a
+    multiplicity count.
+    """
+    return _merge_chains(_flag_chains(polygon_vertices))
 
 
 def flag_forms_of_arrangement(arr: Arrangement) -> FlagFormSet:
     """Union of the flag forms of every cell, deduplicated by direction."""
-    seen: dict[tuple, list] = {}
-    order = []
-    for cell in arr.cells:
-        fs = flag_forms(cell.vertices)
-        for f in fs.forms:
-            chain = [np.asarray(v) for v in f.vectors]
-            key = _dedup_key(chain)
-            if key in seen:
-                seen[key][1] += f.multiplicity
-            else:
-                seen[key] = [chain, f.multiplicity]
-                order.append(key)
-    forms = tuple(
-        FlagForm(vectors=tuple(tuple(v) for v in seen[k][0]), multiplicity=seen[k][1])
-        for k in order
-    )
-    return FlagFormSet(forms=forms)
+    return _merge_chains(chain for cell in arr.cells for chain in _flag_chains(cell.vertices))
 
 
-def flag_decay_envelope(forms: FlagFormSet, n) -> float:
-    """Decay envelope sum over form tuples of 1/(|n| prod_k (|L_k(n)|+1)).
+def _lattice_vectors(ns) -> np.ndarray:
+    """ns as a (K, 2) float array, checked to hold finite integers."""
+    try:
+        vecs = np.asarray(ns, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"lattice vectors must be numeric: {exc}") from None
+    if (vecs.ndim != 2 or vecs.shape[1] != 2 or not np.all(np.isfinite(vecs))
+            or np.any(vecs != np.round(vecs))):
+        raise ValidationError(f"lattice vectors must be a (K, 2) array of finite "
+                              f"integers, got shape {vecs.shape}")
+    return vecs
+
+
+def _lattice_shell(lo: int, hi: int) -> np.ndarray:
+    """Lattice vectors with lo < |n|_inf <= hi, in lexicographic (n1, n2) order."""
+    return np.array([(n1, n2) for n1 in range(-hi, hi + 1) for n2 in range(-hi, hi + 1)
+                     if lo < max(abs(n1), abs(n2)) <= hi], dtype=np.int64).reshape(-1, 2)
+
+
+def flag_decay_envelopes(forms: FlagFormSet, ns) -> np.ndarray:
+    """Decay envelope sum over form tuples of 1/(|n| prod_k (|L_k(n)|+1)) at
+    every row of a (K, 2) array of nonzero lattice vectors.
 
     The union across cells is treated as a set: each distinct direction
     tuple contributes once regardless of multiplicity.
     """
-    n = np.asarray(n, dtype=np.float64)
-    norm = float(np.linalg.norm(n))
-    if norm == 0.0:
+    ns = _lattice_vectors(ns)
+    n1, n2 = ns[:, 0], ns[:, 1]
+    norm = np.sqrt(n1 * n1 + n2 * n2)
+    if np.any(norm == 0.0):
         raise ValidationError("envelope undefined at n = 0")
-    total = 0.0
+    total = np.zeros(len(ns))
     for f in forms.forms:
-        denom = norm
-        for val in f.evaluate(n):
-            denom *= abs(val) + 1.0
+        denom = norm.copy()
+        for v1, v2 in f.vectors:
+            denom *= np.abs(v1 * n1 + v2 * n2) + 1.0
         total += 1.0 / denom
     return total
 
 
-def projection_chain_norms(form: FlagForm, n) -> list[float]:
-    """Norms of n after successively removing components along the flag's
-    orthonormal vectors; non-increasing by construction."""
-    v = np.asarray(n, dtype=np.float64).copy()
-    norms = [float(np.linalg.norm(v))]
-    for u in form.vectors:
-        u = np.asarray(u)
-        v = v - np.dot(v, u) * u
-        norms.append(float(np.linalg.norm(v)))
-    return norms
+def flag_decay_envelope(forms: FlagFormSet, n) -> float:
+    """The decay envelope at one lattice vector (see flag_decay_envelopes)."""
+    return float(flag_decay_envelopes(forms, [n])[0])
 
 
 # ---------------------------------------------------------------------------
 # planar cell integrals (3-d instances)
 # ---------------------------------------------------------------------------
 
+# Lattice vectors per pass of the edge kernel: at 500 edges each (chunk,
+# edges) complex temporary takes 8 MB.
+_CHUNK = 1024
 
-def _edge_factor(z: float) -> complex:
-    """E(z) = (e^{-2 pi i z} - 1)/(-2 pi i z) with a series branch near 0."""
-    w = -2j * math.pi * z
-    if abs(z) < 1e-8:
-        return 1.0 + w / 2.0 + w * w / 6.0 + w * w * w / 24.0
-    return (cmath.exp(-2j * math.pi * math.fmod(z, 1.0)) - 1.0) / w
+
+def _edge_table(polygons):
+    """Start points p, vectors v and owning polygon of the edges p + s v of
+    CCW polygons, and the polygon areas.  Checks each polygon once (>= 3 planar
+    vertices, positive area); edges shorter than 1e-15 carry no flux and are left out."""
+    verts = [np.asarray(v, dtype=np.float64) for v in polygons]
+    if any(v.ndim != 2 or v.shape[1] != 2 or len(v) < 3 for v in verts):
+        raise ValidationError("polygon integral needs >= 3 planar vertices")
+    counts = np.array([len(v) for v in verts])
+    first = np.cumsum(counts) - counts
+    start = np.concatenate(verts)
+    nxt = np.arange(1, len(start) + 1)
+    nxt[first + counts - 1] = first
+    end = start[nxt]
+    vec = end - start
+    area = 0.5 * np.add.reduceat(start[:, 0] * end[:, 1] - end[:, 0] * start[:, 1], first)
+    if np.any(area <= 0):
+        raise DegeneratePolytopeError("polygon must be counterclockwise with positive area")
+    keep = np.hypot(vec[:, 0], vec[:, 1]) >= 1e-15
+    owner = np.repeat(np.arange(len(verts)), counts)
+    return start[keep], vec[keep], owner[keep], area
+
+
+def _edge_sums(start, vec, ns: np.ndarray, weight) -> np.ndarray:
+    """sum_e weight_e (n x v_e) e(-<n, p_e>) E(<n, v_e>) for every row n of ns,
+    with E(z) = (e(-z) - 1)/(-2 pi i z) and a series branch near z = 0.
+
+    By the divergence theorem the integral of e(-<n, x>) over a polygon is
+    the sum over its edges of the outward flux <n, normal_e> |v_e| = n x v_e
+    times the edge integral e(-<n, p_e>) E(<n, v_e>), divided by
+    -2 pi i |n|^2.  Every product is taken elementwise, so a row's result
+    does not depend on the other rows.  np.modf(x)[0] is fmod(x, 1), bit
+    for bit, at a sixth of the cost.
+    """
+    n1, n2 = ns[:, :1], ns[:, 1:]
+    flux = n1 * vec[:, 1] - n2 * vec[:, 0]
+    z = n1 * vec[:, 0] + n2 * vec[:, 1]
+    phase = np.exp(-2j * np.pi * np.modf(n1 * start[:, 0] + n2 * start[:, 1])[0])
+    w = -2j * np.pi * z
+    small = np.abs(z) < 1e-8
+    factor = (np.exp(-2j * np.pi * np.modf(z)[0]) - 1.0) / np.where(small, 1.0, w)
+    ws = w[small]
+    factor[small] = 1.0 + ws / 2.0 + ws * ws / 6.0 + ws * ws * ws / 24.0
+    return np.sum(weight * flux * phase * factor, axis=1)
 
 
 def polygon_exponential_integral(vertices, n) -> complex:
-    """Exact integral of e^{-2 pi i <n,x>} over a convex polygon.
-
-    One divergence-theorem pass converts the area integral into edge
-    integrals with closed-form antiderivatives.
+    """Exact integral of e^{-2 pi i <n,x>} over a convex polygon, for a
+    lattice vector n: one polygon through the edge kernel (_edge_sums).
     """
-    verts = np.asarray(vertices, dtype=np.float64)
-    n_vec = np.asarray(n, dtype=np.float64)
-    if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
-        raise ValidationError("polygon integral needs >= 3 planar vertices")
-    area, _, _ = polygon_moments(verts)
-    if area <= 0:
-        raise DegeneratePolytopeError("polygon must be counterclockwise with positive area")
-    n_sq = float(np.dot(n_vec, n_vec))
+    start, vec, _, area = _edge_table([vertices])
+    ns = _lattice_vectors([n])
+    n_sq = float(ns[0] @ ns[0])
     if n_sq == 0.0:
-        return complex(area)
+        return complex(area[0])
+    return complex(_edge_sums(start, vec, ns, 1.0)[0] / (-2j * math.pi * n_sq))
 
-    total = 0.0j
-    m = len(verts)
-    for i in range(m):
-        p, q = verts[i], verts[(i + 1) % m]
-        edge = q - p
-        length = float(np.linalg.norm(edge))
-        if length < 1e-15:
-            continue
-        outward = np.array([edge[1], -edge[0]]) / length
-        flux = float(np.dot(n_vec, outward))
-        if flux == 0.0:
-            continue
-        z = float(np.dot(n_vec, edge))
-        total += flux * length * _unit_phase(float(np.dot(n_vec, p))) * _edge_factor(z)
-    return total / (-2j * math.pi * n_sq)
+
+def coefficients_3d(arr: Arrangement, ns) -> np.ndarray:
+    """Exact coefficients of the piecewise-affine torus function given by an
+    arrangement, at every row of a (K, 2) array of lattice vectors.
+
+    f_hat(n) = sum_j <a_j, n> / (2 pi i |n|^2) * int_{A_j} e(-<n,x>) for
+    n != 0, and the mean at n = 0.  With the cell integrals written as edge
+    sums this is one sum over the edges of all cells, each weighted by its
+    cell's <a_j, n>, divided by 4 pi^2 |n|^4.
+    """
+    ns = _lattice_vectors(ns)
+    start, vec, owner, _ = _edge_table([cell.vertices for cell in arr.cells])
+    grads = np.array([cell.gradient for cell in arr.cells])
+    out = np.empty(len(ns), dtype=np.complex128)
+    for lo in range(0, len(ns), _CHUNK):
+        chunk = ns[lo:lo + _CHUNK]
+        weight = chunk[:, :1] * grads[:, 0] + chunk[:, 1:] * grads[:, 1]
+        out[lo:lo + _CHUNK] = _edge_sums(start, vec, chunk, weight[:, owner])
+    n_sq = ns[:, 0] * ns[:, 0] + ns[:, 1] * ns[:, 1]
+    zero = n_sq == 0.0
+    out[~zero] /= 4.0 * math.pi ** 2 * n_sq[~zero] ** 2
+    if zero.any():
+        out[zero] = arr.mean()
+    return out
 
 
 def fourier_coeff_exact_3d(arr: Arrangement, n) -> FourierCoefficient:
-    """Exact coefficient of a piecewise-affine torus function given by an
-    arrangement: sum_j <a_j, n> / (2 pi i |n|^2) * int_{A_j} e(-<n,x>).
-    """
-    n_t = tuple(int(v) for v in np.atleast_1d(n))
-    if len(n_t) != 2:
-        raise ValidationError("cell coefficients take a 2-d lattice vector")
-    if n_t == (0, 0):
-        return FourierCoefficient(n_t, complex(arr.mean()))
-    n_vec = np.asarray(n_t, dtype=np.float64)
-    n_sq = float(np.dot(n_vec, n_vec))
-    total = 0.0j
-    for cell in arr.cells:
-        grad = float(np.dot(cell.gradient, n_vec))
-        if grad == 0.0:
-            continue
-        total += grad * polygon_exponential_integral(cell.vertices, n_vec)
-    return FourierCoefficient(n_t, total / (2j * math.pi * n_sq))
+    """The coefficient at one lattice vector (see coefficients_3d)."""
+    ns = _lattice_vectors([n])
+    return FourierCoefficient(tuple(int(v) for v in ns[0]),
+                              complex(coefficients_3d(arr, ns)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -461,17 +467,11 @@ def envelope_fit(arr: Arrangement, forms: FlagFormSet,
     """Fit max |f_hat(n)| / envelope(n) over two sup-norm shells."""
 
     def shell_fit(lo: int, hi: int) -> float:
-        best = 0.0
-        for n1 in range(-hi, hi + 1):
-            for n2 in range(-hi, hi + 1):
-                r = max(abs(n1), abs(n2))
-                if r <= lo or r > hi:
-                    continue
-                coeff = fourier_coeff_exact_3d(arr, (n1, n2))
-                env = flag_decay_envelope(forms, (n1, n2))
-                if env > 0:
-                    best = max(best, coeff.magnitude / env)
-        return best
+        ns = _lattice_shell(lo, hi)
+        env = flag_decay_envelopes(forms, ns)
+        positive = env > 0
+        ratios = np.abs(coefficients_3d(arr, ns))[positive] / env[positive]
+        return float(ratios.max(initial=0.0))
 
     return EnvelopeFit(
         c_inner=shell_fit(*inner),
@@ -504,12 +504,10 @@ def coefficients_csv_3d(arr: Arrangement, forms: FlagFormSet, n_max: int) -> str
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["n1", "n2", "re", "im", "abs", "envelope"])
-    for n1 in range(-n_max, n_max + 1):
-        for n2 in range(-n_max, n_max + 1):
-            if n1 == 0 and n2 == 0:
-                continue
-            c = fourier_coeff_exact_3d(arr, (n1, n2)).value
-            env = flag_decay_envelope(forms, (n1, n2))
-            w.writerow([n1, n2, f"{c.real:.17g}", f"{c.imag:.17g}",
-                        f"{abs(c):.17g}", f"{env:.17g}"])
+    ns = _lattice_shell(0, n_max)
+    coeffs = coefficients_3d(arr, ns)
+    envs = flag_decay_envelopes(forms, ns)
+    for (n1, n2), c, env in zip(ns.tolist(), coeffs, envs):
+        w.writerow([n1, n2, f"{c.real:.17g}", f"{c.imag:.17g}",
+                    f"{abs(c):.17g}", f"{env:.17g}"])
     return buf.getvalue()

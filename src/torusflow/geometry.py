@@ -850,10 +850,11 @@ def arrangement_cells(p: Polytope, direction: Direction) -> Arrangement:
                 new_cells.append(minus)
         cells = new_cells
 
+    samples = [_cell_sample_points(verts) for verts in cells]
+    values = np.split(ev.lengths(np.concatenate(samples)),
+                      np.cumsum([len(pts) for pts in samples])[:-1])
     fitted = []
-    for verts in cells:
-        pts = _cell_sample_points(verts)
-        f = ev.lengths(pts)
+    for verts, pts, f in zip(cells, samples, values):
         design = np.c_[pts, np.ones(len(pts))]
         coef, *_ = np.linalg.lstsq(design, f, rcond=None)
         residual = float(np.max(np.abs(design @ coef - f)))

@@ -66,6 +66,17 @@ def box3_arrangement(box3, box3_direction):
     return arrangement_cells(box3, box3_direction)
 
 
+@pytest.fixture(scope="session")
+def tetra3():
+    return Polytope.from_vertices([(0.1, 0.1, 0.1), (0.8, 0.2, 0.15),
+                                   (0.3, 0.85, 0.2), (0.35, 0.3, 0.9)])
+
+
+@pytest.fixture(scope="session")
+def tetra3_arrangement(tetra3, box3_direction):
+    return arrangement_cells(tetra3, box3_direction)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(911)

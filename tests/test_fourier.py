@@ -1,13 +1,22 @@
 """Exact Fourier coefficients, decay bounds, flag forms, and majorants."""
 from __future__ import annotations
 
+import cmath
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from torusflow.algebraic import AlgebraicValue, parse_literal
 from torusflow.diophantine import diophantine_series
-from torusflow.errors import ValidationError
+from torusflow.errors import DegeneratePolytopeError, ValidationError
 from torusflow.fourier import (
+    _CHUNK,
+    _lattice_shell,
+    coefficients_3d,
     coefficients_csv,
     coefficients_csv_3d,
     envelope_fit,
@@ -18,11 +27,12 @@ from torusflow.fourier import (
     fourier_coeffs_2d,
     fourier_majorant_2d,
     flag_decay_envelope,
+    flag_decay_envelopes,
     per_coefficient_bound,
     polygon_discrepancy_bound,
     polygon_exponential_integral,
-    projection_chain_norms,
 )
+from torusflow.geometry import Arrangement, ArrangementCell
 
 # Coefficients of the reference triangle section, verified against midpoint
 # Riemann sums with 2e5 nodes (agreement ~2e-12).
@@ -53,10 +63,30 @@ def test_frozen_coefficients(triangle_section):
         np.testing.assert_allclose(got, _riemann_coeff(triangle_section, n), atol=1e-8)
 
 
+def _reference_coeff_2d(sec, n):
+    """The scalar loop single 2d coefficients were computed with."""
+    c, a = sec.breakpoints, sec.slopes
+    phases = [cmath.exp(-2j * math.pi * math.fmod(n * x, 1.0)) for x in c]
+    return sum(a[j] * (phases[j + 1] - phases[j])
+               for j in range(len(a))) / (4.0 * math.pi ** 2 * n * n)
+
+
 def test_vectorised_coefficients_match_singles(triangle_section):
     vec = fourier_coeffs_2d(triangle_section, 64)
     singles = [fourier_coeff_exact_2d(triangle_section, n).value for n in range(1, 65)]
     np.testing.assert_allclose(vec, singles, atol=1e-14)
+    reference = [_reference_coeff_2d(triangle_section, n) for n in range(1, 65)]
+    np.testing.assert_allclose(vec, reference, atol=1e-14)
+
+
+def test_discontinuous_section_rejected(triangle_section):
+    intercepts = np.array(triangle_section.intercepts, dtype=float)
+    intercepts[-1] += 1e-3
+    jumped = dataclasses.replace(triangle_section, intercepts=intercepts)
+    with pytest.raises(ValidationError, match="telescope"):
+        fourier_coeffs_2d(jumped, 8)
+    with pytest.raises(ValidationError, match="telescope"):
+        fourier_coeff_exact_2d(jumped, 3)
 
 
 def test_conjugate_symmetry(triangle_section):
@@ -181,14 +211,6 @@ def test_envelope_properties():
                                flag_decay_envelope(forms, (-3, -5)), rtol=1e-14)
 
 
-def test_projection_chain_norms_monotone():
-    forms = flag_forms(UNIT_SQUARE)
-    for f in forms.forms:
-        norms = projection_chain_norms(f, (5, 3))
-        assert list(norms) == sorted(norms, reverse=True)
-        assert norms[-1] >= 0
-
-
 def test_polygon_exponential_integral():
     # n = 0 returns the plain area
     np.testing.assert_allclose(polygon_exponential_integral(UNIT_SQUARE, (0, 0)),
@@ -213,6 +235,11 @@ def test_polygon_exponential_integral():
     ref = np.sum(np.exp(-2j * np.pi * (2 * xx + 3 * yy)) * mask) / m ** 2
     got = polygon_exponential_integral(tri, (2, 3))
     np.testing.assert_allclose(got, ref, atol=2e-5)
+    np.testing.assert_allclose(polygon_exponential_integral(tri, (0, 0)), 0.2, rtol=1e-14)
+    with pytest.raises(DegeneratePolytopeError):
+        polygon_exponential_integral(tri[::-1], (1, 0))
+    with pytest.raises(ValidationError):
+        polygon_exponential_integral(tri[:2], (1, 0))
 
 
 def test_box3_coefficients(box3_arrangement):
@@ -276,3 +303,247 @@ def test_coefficient_csv_outputs(triangle_section, triangle, silver_direction,
     rows3 = txt3.strip().splitlines()
     assert rows3[0].startswith("n1,n2,")
     assert len(rows3) > 4
+
+
+# -- the one-pass 3d kernel against the per-vector loop ----------------------
+
+_U = 2.0 ** -53
+# Quadrilateral with binary-exact vertices; its first edge (0.375, -0.25) is
+# orthogonal to (2, 3), so <n, v> is exactly 0 there.
+ORTHO_QUAD = np.array([(0.125, 0.5), (0.5, 0.25), (0.75, 0.625), (0.25, 0.875)])
+# Triangle whose first edge has <(2, 3), v> of about 3e-9: the series branch
+# of E with a nonzero argument.
+NEAR_ORTHO_TRI = np.array([(0.1, 0.5), (0.4, 0.3 + 1e-9), (0.6, 0.8)])
+
+
+def _reference_polygon_integral(verts, n):
+    """The per-edge loop polygon integrals were computed with."""
+    n_vec = np.asarray(n, dtype=np.float64)
+    n_sq = float(np.dot(n_vec, n_vec))
+    total = 0.0j
+    m = len(verts)
+    for i in range(m):
+        p, q = verts[i], verts[(i + 1) % m]
+        edge = q - p
+        length = float(np.linalg.norm(edge))
+        if length < 1e-15:
+            continue
+        outward = np.array([edge[1], -edge[0]]) / length
+        flux = float(np.dot(n_vec, outward))
+        if flux == 0.0:
+            continue
+        z = float(np.dot(n_vec, edge))
+        w = -2j * math.pi * z
+        if abs(z) < 1e-8:
+            factor = 1.0 + w / 2.0 + w * w / 6.0 + w * w * w / 24.0
+        else:
+            factor = (cmath.exp(-2j * math.pi * math.fmod(z, 1.0)) - 1.0) / w
+        phase = cmath.exp(-2j * math.pi * math.fmod(float(np.dot(n_vec, p)), 1.0))
+        total += flux * length * phase * factor
+    return total / (-2j * math.pi * n_sq)
+
+
+def _reference_coeff_3d(arr, n):
+    """The per-vector, per-cell loop the 3d coefficients were computed with."""
+    n_vec = np.asarray(n, dtype=np.float64)
+    if not n_vec.any():
+        return complex(arr.mean())
+    n_sq = float(np.dot(n_vec, n_vec))
+    total = 0.0j
+    for cell in arr.cells:
+        grad = float(np.dot(cell.gradient, n_vec))
+        if grad == 0.0:
+            continue
+        total += grad * _reference_polygon_integral(np.asarray(cell.vertices), n_vec)
+    return total / (2j * math.pi * n_sq)
+
+
+def _reference_envelope(forms, n):
+    """The scalar loop the decay envelope was computed with."""
+    n = np.asarray(n, dtype=np.float64)
+    norm = float(np.linalg.norm(n))
+    total = 0.0
+    for f in forms.forms:
+        denom = norm
+        for v in f.vectors:
+            denom *= abs(float(np.dot(np.asarray(v), n))) + 1.0
+        total += 1.0 / denom
+    return total
+
+
+def _edge_sum_tolerance(polygons, weights, ns):
+    """Bound on the difference of the two edge sums sum_e t_e at each row n of
+    ns.
+
+    Both implementations sum, over the edges p_e + s v_e of each polygon j,
+    t_e = g_j (n x v_e) e(-<n, p_e>) E(<n, v_e>) with |g_j| <= weights[k, j]
+    at row k; they differ only in rounding (unit roundoff u).  With
+    |e(.)| = 1 and |E| <= 1, T_e = weights[k, j] |n| |v_e| bounds |t_e|, and
+    each factor is off by at most, relative to T_e and to first order in u:
+      - g_j, a two-term dot product: 2u; the loop also divides its cell integral
+        by -2 pi i |n|^2 and its sum by 2 pi i |n|^2 (6u);
+      - n x v_e: 2u; the loop's unit normal, dot product and rescaling: 8u;
+      - e(-<n, p_e>): <n, p_e> is off by 2u |n| |p_e|, the phase by 2 pi times
+        that, plus 2 pi u for the angle and 2u for exp (15u);
+      - E(z), z = <n, v_e>: z is off by 2u |n| |v_e| and |E'| <= pi; for
+        |z| >= 1e-8, exp(-2 pi i fmod(z, 1)) - 1 is off by (2 pi + 4)u, which E
+        divides by 2 pi |z| (2u / |z|); the division itself 4u.  The series
+        used below 1e-8 truncates at (2 pi 1e-8)^4 / 120 < u;
+      - three products: 6u.
+    That is (41 + 4 pi |n| (|p_e| + |v_e|) + 2 / |z_e|) u T_e per edge.  A sum
+    of m terms adds at most 2 m u sum_e T_e (Higham's gamma_m, for real and
+    imaginary parts).  Both implementations err, so the bound doubles:
+        2u sum_e T_e (2m + 48 + 4 pi |n| (|p_e| + |v_e|) + 2 / |z_e|).
+    """
+    ns = np.asarray(ns, dtype=np.float64)
+    norm = np.hypot(ns[:, 0], ns[:, 1])[:, None]
+    verts = [np.asarray(v, dtype=np.float64) for v in polygons]
+    start = np.concatenate(verts)
+    vec = np.concatenate([np.roll(v, -1, axis=0) - v for v in verts])
+    owner = np.repeat(np.arange(len(verts)), [len(v) for v in verts])
+    lengths = np.hypot(vec[:, 0], vec[:, 1])
+    z = np.abs(ns @ vec.T)
+    cond = np.where(z >= 1e-8, 2.0 / np.maximum(z, 1e-8), 0.0)
+    per_edge = (2 * len(start) + 48
+                + 4 * np.pi * norm * (np.hypot(start[:, 0], start[:, 1]) + lengths) + cond)
+    weight = np.asarray(weights, dtype=np.float64)[:, owner]
+    return 2 * _U * norm[:, 0] * np.sum(weight * lengths * per_edge, axis=1)
+
+
+def _coeff_tolerance(arr, ns):
+    """Bound on |coefficients_3d - _reference_coeff_3d| at each nonzero row
+    of ns: the edge sums above with g_j = <a_j, n>, so weights |a_j| |n|,
+    divided by 4 pi^2 |n|^4."""
+    ns = np.asarray(ns, dtype=np.float64).reshape(-1, 2)
+    norm = np.hypot(ns[:, 0], ns[:, 1])
+    grads = np.array([np.linalg.norm(c.gradient) for c in arr.cells])
+    sums = _edge_sum_tolerance([c.vertices for c in arr.cells], norm[:, None] * grads, ns)
+    return sums / (4 * np.pi ** 2 * norm ** 4)
+
+
+def _envelope_rtol(forms, n):
+    """Relative bound on |flag_decay_envelopes - _reference_envelope|.
+
+    |n| is exact for integer n up to one rounding of the square root.  Each
+    L_k(n), a two-term dot product with a unit vector, is off by 2u |n|, so
+    |L_k| + 1 is off by (2 |n| + 1) u relative; a form with k vectors
+    multiplies k + 1 factors and takes a reciprocal, and summing F positive
+    terms adds F u.  Both implementations err, so the bound doubles.
+    """
+    norm = float(np.linalg.norm(n))
+    k = max(len(f.vectors) for f in forms.forms)
+    return 2 * _U * (len(forms) + (k + 1) * (2 * norm + 3))
+
+
+def _check_against_reference(arr, ns):
+    ns = np.asarray(ns)
+    got = coefficients_3d(arr, ns)
+    zero = ~ns.any(axis=1)
+    assert np.all(got[zero] == _reference_coeff_3d(arr, (0, 0)))
+    tols = _coeff_tolerance(arr, ns[~zero])
+    for n, c, tol in zip(ns[~zero], got[~zero], tols):
+        want = _reference_coeff_3d(arr, n)
+        assert abs(c - want) <= tol, (tuple(n), c, want, tol)
+
+
+@pytest.mark.parametrize("name", ["box3_arrangement", "tetra3_arrangement"])
+def test_coefficients_3d_match_reference_loop(request, name):
+    arr = request.getfixturevalue(name)
+    ns = np.vstack([[(0, 0)], _lattice_shell(0, 4), [(25, -17), (-50, 49)]])
+    _check_against_reference(arr, ns)
+    assert coefficients_3d(arr, [(0, 0)])[0] == complex(arr.mean())
+
+
+def test_coefficients_3d_axis_vectors(box3_arrangement):
+    """Axis vectors make every vertical (or horizontal) edge of the box
+    cells carry zero flux, and the other edges take the series branch."""
+    ns = np.array([(1, 0), (0, 1), (-3, 0), (0, 7), (13, 0)])
+    vec = np.concatenate([np.roll(c.vertices, -1, axis=0) - c.vertices
+                          for c in box3_arrangement.cells])
+    assert np.any(vec[:, 1] == 0) and np.any(vec[:, 0] == 0)
+    _check_against_reference(box3_arrangement, ns)
+
+
+def test_edge_orthogonal_to_vector_takes_series_branch():
+    for verts, n in ((ORTHO_QUAD, (2, 3)), (ORTHO_QUAD, (-4, -6)),
+                     (NEAR_ORTHO_TRI, (2, 3)), (NEAR_ORTHO_TRI, (6, 9))):
+        z = float(np.dot(verts[1] - verts[0], n))
+        assert abs(z) < 1e-8
+        want = _reference_polygon_integral(verts, n)
+        tol = _edge_sum_tolerance([verts], [[1.0]], [n])[0] / (2 * np.pi * np.dot(n, n))
+        assert abs(polygon_exponential_integral(verts, n) - want) <= tol
+    arr = Arrangement(cells=(
+        ArrangementCell(vertices=ORTHO_QUAD, gradient=np.array([0.3, -0.7]),
+                        offset=0.1, fit_residual=0.0),
+        ArrangementCell(vertices=NEAR_ORTHO_TRI, gradient=np.array([-1.1, 0.4]),
+                        offset=0.2, fit_residual=0.0),
+    ), lines=())
+    _check_against_reference(arr, np.array([(2, 3), (-2, -3), (4, 6), (1, 0)]))
+
+
+def test_coefficients_3d_past_one_chunk(box3_arrangement):
+    ns = _lattice_shell(0, 24)
+    assert len(ns) > 2 * _CHUNK
+    full = coefficients_3d(box3_arrangement, ns)
+    # each row is computed on its own, so chunk boundaries change no bit
+    window = slice(_CHUNK - 40, _CHUNK + 40)
+    assert np.array_equal(coefficients_3d(box3_arrangement, ns[window]), full[window])
+    assert np.array_equal(coefficients_3d(box3_arrangement, ns[::-1]), full[::-1])
+    picks = [0, _CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK, len(ns) - 1]
+    _check_against_reference(box3_arrangement, ns[picks])
+
+
+def test_csv_3d_rows_match_reference(box3_arrangement):
+    forms = flag_forms_of_arrangement(box3_arrangement)
+    rows = [r.split(",") for r in
+            coefficients_csv_3d(box3_arrangement, forms, 3).strip().splitlines()]
+    assert rows[0] == ["n1", "n2", "re", "im", "abs", "envelope"]
+    order = [(n1, n2) for n1 in range(-3, 4) for n2 in range(-3, 4) if (n1, n2) != (0, 0)]
+    assert [(int(r[0]), int(r[1])) for r in rows[1:]] == order
+    tols = _coeff_tolerance(box3_arrangement, order)
+    for (n1, n2), r, tol in zip(order, rows[1:], tols):
+        want = _reference_coeff_3d(box3_arrangement, (n1, n2))
+        got = complex(float(r[2]), float(r[3]))
+        assert abs(got - want) <= tol
+        env = _reference_envelope(forms, (n1, n2))
+        assert abs(float(r[5]) - env) <= _envelope_rtol(forms, (n1, n2)) * env
+
+
+@pytest.fixture(scope="module")
+def box3_forms(box3_arrangement):
+    return flag_forms_of_arrangement(box3_arrangement)
+
+
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+                .filter(lambda n: n != (0, 0)), min_size=1, max_size=20))
+def test_lattice_symmetry_and_envelope_property(box3_arrangement, box3_forms, vectors):
+    ns = np.array(vectors)
+    plus = coefficients_3d(box3_arrangement, ns)
+    minus = coefficients_3d(box3_arrangement, -ns)
+    forms = box3_forms
+    envs = flag_decay_envelopes(forms, ns)
+    tols = _coeff_tolerance(box3_arrangement, ns)
+    for n, c_plus, c_minus, env, tol in zip(vectors, plus, minus, envs, tols):
+        assert abs(c_minus - np.conj(c_plus)) <= tol
+        assert env == flag_decay_envelope(forms, n)
+        want = _reference_envelope(forms, n)
+        assert abs(env - want) <= _envelope_rtol(forms, n) * want
+
+
+@pytest.mark.parametrize("bad", [
+    [(0.5, 0.2)], [(1.7, 2.0)], [(np.nan, 1.0)], [(np.inf, 0.0)],
+    [(1, 2, 3)], [1, 2], [[[1, 2]]], [("a", 1)],
+])
+def test_lattice_functions_reject_bad_vectors(box3_arrangement, bad):
+    forms = flag_forms_of_arrangement(box3_arrangement)
+    with pytest.raises(ValidationError):
+        coefficients_3d(box3_arrangement, bad)
+    with pytest.raises(ValidationError):
+        flag_decay_envelopes(forms, bad)
+    if len(bad) == 1:
+        with pytest.raises(ValidationError):
+            fourier_coeff_exact_3d(box3_arrangement, bad[0])
+        with pytest.raises(ValidationError):
+            flag_decay_envelope(forms, bad[0])
+        with pytest.raises(ValidationError):
+            polygon_exponential_integral(UNIT_SQUARE, bad[0])

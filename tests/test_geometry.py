@@ -12,6 +12,7 @@ from torusflow.geometry import (
     Direction,
     Polytope,
     SectionEvaluator,
+    _cell_sample_points,
     arrangement_cells,
     build_piecewise_linear_section,
     cot_angles,
@@ -196,6 +197,22 @@ def test_arrangement_invariants(box3_arrangement, box3):
     assert max(c.fit_residual for c in arr.cells) < 1e-12
     mismatches = [abs(a - b) for _, a, b in shared_edge_checks(arr)]
     assert max(mismatches) < 1e-12
+
+
+@pytest.mark.parametrize("body", ["box3", "tetra3"])
+def test_arrangement_fits_match_per_cell_evaluation(request, box3_direction, body):
+    """The arrangement evaluates every cell's sample points in one batch; each
+    cell's fit must equal the fit from its own evaluator call, bit for bit."""
+    arr = request.getfixturevalue(f"{body}_arrangement")
+    ev = SectionEvaluator(request.getfixturevalue(body), box3_direction)
+    for cell in arr.cells:
+        pts = _cell_sample_points(cell.vertices)
+        f = ev.lengths(pts)
+        design = np.c_[pts, np.ones(len(pts))]
+        coef, *_ = np.linalg.lstsq(design, f, rcond=None)
+        assert np.array_equal(cell.gradient, coef[:2])
+        assert cell.offset == float(coef[2])
+        assert cell.fit_residual == float(np.max(np.abs(design @ coef - f)))
 
 
 def test_evaluator_batch_matches_singles(triangle, silver_direction, rng):
