@@ -19,7 +19,6 @@ from .diophantine import (
     continued_fraction,
     diophantine_series,
     dyadic_spacing_audit,
-    grepstad_larcher_sum,
     materialize_dyadic_block,
     schmidt_inequality_scan,
 )
@@ -44,13 +43,9 @@ from .errors import (
 )
 from .fourier import (
     BoundCertificate,
-    flag_forms,
     fourier_coeff_exact_2d,
-    fourier_coeff_exact_3d,
     fourier_majorant_2d,
-    flag_decay_envelope,
     polygon_discrepancy_bound,
-    polygon_exponential_integral,
 )
 from .geometry import (
     Box,
@@ -95,16 +90,11 @@ __all__ = [
     "discrepancy_trace",
     "discrete_discrepancy",
     "dyadic_spacing_audit",
-    "flag_forms",
     "fourier_coeff_exact_2d",
-    "fourier_coeff_exact_3d",
     "fourier_majorant_2d",
-    "grepstad_larcher_sum",
-    "flag_decay_envelope",
     "materialize_dyadic_block",
     "parse_literal",
     "polygon_discrepancy_bound",
-    "polygon_exponential_integral",
     "quadrature_delta_profile",
     "random_polygon",
     "schmidt_inequality_scan",

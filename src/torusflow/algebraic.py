@@ -339,10 +339,6 @@ def parse_literal(text: str) -> AlgebraicValue:
     return AlgebraicValue.parse(text)
 
 
-def sqrt_int(n: int) -> AlgebraicValue:
-    return AlgebraicValue.from_rational(n).sqrt()
-
-
 # ---------------------------------------------------------------------------
 # fixed-point orbit helpers
 #

@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +34,7 @@ from .diophantine import (
 )
 from .engine import (
     FlowInstance,
+    _check_step,
     box_discrepancy_sup,
     delta_T_exact,
     delta_T_quadrature,
@@ -165,6 +165,9 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
             setattr(cfg, key, val)
     if cfg.precision_bits is None:
         cfg.precision_bits = default_precision_bits()
+    if not isinstance(cfg.precision_bits, int) or cfg.precision_bits < 64:
+        raise ValidationError(f"precision_bits must be an integer >= 64, "
+                              f"got {cfg.precision_bits!r}")
     return cfg
 
 
@@ -227,7 +230,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         inst.require_exact_capable()
         trace = discrepancy_trace(inst, t_max, n_samples=n_samples, schedule=kind)
     elif cfg.engine == "quadrature":
-        every = max(1, int(round(t_max / cfg.quadrature_step / max(n_samples, 1))))
+        _check_step(cfg.quadrature_step)
+        if n_samples < 1:
+            raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
+        every = max(1, int(round(t_max / cfg.quadrature_step / n_samples)))
         trace = quadrature_delta_profile(inst, t_max, cfg.quadrature_step,
                                          sample_every=every)
     else:
@@ -484,8 +490,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         cfg = load_config(args.config, overrides)
-        if cfg.precision_bits is not None:
-            os.environ["TORUSFLOW_PRECISION_BITS"] = str(cfg.precision_bits)
         return _COMMANDS[args.command](cfg)
     except ValidationError as exc:
         print(f"error (validation): {exc}", file=sys.stderr)

@@ -168,15 +168,6 @@ def continued_fraction(x, depth: int, prec_bits: int | None = None) -> Continued
     )
 
 
-def nearest_integer_distance(x, prec_bits: int | None = None) -> float:
-    """Distance from x to the nearest integer."""
-    value = AlgebraicValue.coerce(x)
-    bits = prec_bits if prec_bits is not None else default_precision_bits()
-    with mpmath.workprec(bits):
-        v = value.eval_mpf(bits)
-        return float(abs(v - mpmath.nint(v)))
-
-
 # ---------------------------------------------------------------------------
 # the series  sum_{n>=1} 1 / (n^2 ||n alpha||)
 # ---------------------------------------------------------------------------
@@ -203,11 +194,6 @@ class SeriesBound:
     quotient_cap: int
     scale_bits: int
     partial_sum_digits: str
-
-    @property
-    def total_upper(self) -> float:
-        return self.partial_sum + self.tail_bound
-
 
 def _zeta2_from(i0: int) -> float:
     """Upper bound on sum_{i >= i0} 1/i^2."""
@@ -399,57 +385,6 @@ def approximation_exponent_scan(alpha1, n_max: int, eta: float,
         hits=tuple(hits),
         worst_exponent=worst if worst != float("-inf") else float("nan"),
     )
-
-
-@dataclass(frozen=True)
-class DiophantineProfile:
-    """Observed (not proved) Diophantine quality of a direction."""
-
-    alpha: str
-    n_max_scanned: int
-    worst_exponent: float
-    badly_approximable_bound: int
-    quotients_seen: int
-    series: SeriesBound | None
-
-
-def build_profile(alpha1, n_max: int = 10_000, eta: float = 1.5,
-                  prec_bits: int | None = None,
-                  with_series: bool = True) -> DiophantineProfile:
-    value = AlgebraicValue.coerce(alpha1)
-    scan = approximation_exponent_scan(value, n_max, eta)
-    series = None
-    bad_bound = 0
-    quotients = 0
-    if not value.is_rational:
-        if with_series:
-            series = diophantine_series(value, n_max, prec_bits=prec_bits)
-        cf = continued_fraction(value, 48, prec_bits=prec_bits)
-        bad_bound = cf.max_quotient
-        quotients = cf.depth
-    return DiophantineProfile(
-        alpha=value.literal(),
-        n_max_scanned=n_max,
-        worst_exponent=scan.worst_exponent,
-        badly_approximable_bound=bad_bound,
-        quotients_seen=quotients,
-        series=series,
-    )
-
-
-def grepstad_larcher_sum(cf: ContinuedFraction, depth: int) -> float:
-    """sum_{l=0}^{depth} (a_{l+1} / q_l**0.5) * sum_{k=1}^{l+1} a_k."""
-    if cf.depth < depth + 1:
-        raise ValidationError(
-            f"need quotients through a_{depth + 1}, expansion has {cf.depth}"
-        )
-    a = cf.partial_quotients
-    total = 0.0
-    prefix = 0
-    for ell in range(depth + 1):
-        prefix += a[ell + 1]
-        total += a[ell + 1] / math.sqrt(cf.q(ell)) * prefix
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -160,16 +159,6 @@ class FlowInstance:
         h.update(np.float64(self.polytope.volume).tobytes())
         return h.hexdigest()[:16]
 
-    def flow_point(self, t: float) -> tuple[AlgebraicValue, ...]:
-        """The orbit point {s + t*alpha} (normalized coordinates), exactly."""
-        t_val = AlgebraicValue.coerce(t * self.time_scale)
-        out = []
-        for k in range(self.d):
-            v = self.s_values[k] + t_val * self.direction.values[k]
-            out.append(AlgebraicValue.coerce(Fraction(v.fixed(self.scale_bits),
-                                                      1 << self.scale_bits) % 1))
-        return tuple(out)
-
     def require_exact_capable(self):
         if self.evaluator is None:
             raise TransversalityError(
@@ -258,88 +247,79 @@ class QuadratureEstimate:
     step: float
 
 
-def _indicator_chunk(inst: FlowInstance, t_mids: np.ndarray,
-                     complement: bool) -> np.ndarray:
+def _check_step(step: float):
+    if not (math.isfinite(step) and step > 0):
+        raise ValidationError(f"quadrature step must be finite and positive, got {step!r}")
+
+
+def _midpoint_hits(inst: FlowInstance, h: float, n: int, marks: np.ndarray):
+    """Midpoint rule in normalized time: of the midpoints (k + 1/2) h, k < n,
+    the number in the body among the first m, for each m of the ascending
+    ``marks`` (each in 1..n), and the number of hit/miss flips between
+    neighbouring midpoints.  Walks fixed 2**18-point chunks, so memory does
+    not grow with the spacing of the marks.
+    """
     alpha = inst.direction.floats()
     s = np.array([float(v) for v in inst.s_values])
-    pts = np.mod(s[None, :] + t_mids[:, None] * alpha[None, :], 1.0)
-    chi = inst.polytope.contains(pts).astype(np.float64)
-    return 1.0 - chi if complement else chi
+    counts = np.empty(len(marks), dtype=np.int64)
+    total = crossings = 0
+    last = None
+    chunk = 1 << 18
+    for start in range(0, n, chunk):
+        t_mids = (np.arange(start, min(start + chunk, n), dtype=np.float64) + 0.5) * h
+        hit = inst.polytope.contains(np.mod(s + t_mids[:, None] * alpha, 1.0))
+        crossings += int(np.count_nonzero(hit[1:] != hit[:-1]))
+        if last is not None and hit[0] != last:
+            crossings += 1
+        last = hit[-1]
+        lo, hi = np.searchsorted(marks, [start, start + len(hit)], side="right")
+        if hi > lo:
+            counts[lo:hi] = total + np.cumsum(hit)[marks[lo:hi] - start - 1]
+        total += int(np.count_nonzero(hit))
+    return counts, crossings
 
 
-def delta_T_quadrature(inst: FlowInstance, t: float, step: float = 1e-3,
-                       complement: bool = False) -> QuadratureEstimate:
+def delta_T_quadrature(inst: FlowInstance, t: float, step: float = 1e-3) -> QuadratureEstimate:
     """Midpoint-rule estimate of the discrepancy at time t.
 
     Works on non-transversal instances too.  The reported error bound is
     step * (crossings/2 + 2), counting observed boundary crossings.
     """
+    _check_step(step)
     if t <= 0:
         return QuadratureEstimate(0.0, 0.0, 0, step)
     t_norm = t * inst.time_scale
-    lam = inst.polytope.volume if not complement else 1.0 - inst.polytope.volume
     n = max(1, int(math.ceil(t_norm / step)))
     h = t_norm / n
-    total = 0.0
-    crossings = 0
-    last = None
-    chunk = 1 << 18
-    for start in range(0, n, chunk):
-        idx = np.arange(start, min(start + chunk, n), dtype=np.float64)
-        chi = _indicator_chunk(inst, (idx + 0.5) * h, complement)
-        total += float(chi.sum())
-        flips = int(np.sum(chi[1:] != chi[:-1]))
-        if last is not None and len(chi) and chi[0] != last:
-            flips += 1
-        crossings += flips
-        if len(chi):
-            last = chi[-1]
-    value = (h * total - t_norm * lam) / inst.time_scale
+    counts, crossings = _midpoint_hits(inst, h, n, np.array([n]))
+    value = (h * float(counts[0]) - t_norm * inst.polytope.volume) / inst.time_scale
     err = h * (0.5 * crossings + 2.0) / inst.time_scale
     return QuadratureEstimate(value=value, error_bound=err, crossings=crossings, step=h)
 
 
 def quadrature_delta_profile(inst: FlowInstance, t_max: float, step: float,
-                             sample_every: int = 250,
-                             complement: bool = False) -> "DiscrepancyTrace":
+                             sample_every: int = 250) -> "DiscrepancyTrace":
     """Running quadrature discrepancy sampled every ``sample_every`` steps.
 
     The trace metadata carries a single conservative error bound (full-run
     crossing count); each prefix sample obeys the same bound.
     """
+    _check_step(step)
+    if sample_every < 1:
+        raise ValidationError(f"sample_every must be >= 1, got {sample_every!r}")
     t_norm = t_max * inst.time_scale
     n = int(round(t_norm / step))
-    lam = inst.polytope.volume if not complement else 1.0 - inst.polytope.volume
-    ts, deltas = [], []
-    running = 0.0
-    crossings = 0
-    last = None
-    chunk = sample_every * max(1, (1 << 18) // sample_every)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        idx = np.arange(start, stop, dtype=np.float64)
-        chi = _indicator_chunk(inst, (idx + 0.5) * step, complement)
-        flips = int(np.sum(chi[1:] != chi[:-1]))
-        if last is not None and len(chi) and chi[0] != last:
-            flips += 1
-        crossings += flips
-        if len(chi):
-            last = chi[-1]
-        c = np.cumsum(chi)
-        marks = np.arange(sample_every - 1 - (start % sample_every), stop - start,
-                          sample_every, dtype=np.int64)
-        for m in marks:
-            t_here = (start + m + 1) * step
-            ts.append(t_here / inst.time_scale)
-            deltas.append((running + c[m]) * step - t_here * lam)
-        running += float(c[-1]) if len(c) else 0.0
+    marks = np.arange(sample_every, n + 1, sample_every, dtype=np.int64)
+    counts, crossings = _midpoint_hits(inst, step, n, marks)
+    t_here = marks * step
+    deltas = counts * step - t_here * inst.polytope.volume
     meta = {
         "engine": "quadrature",
         "err_bound": step * (0.5 * crossings + 2.0) / inst.time_scale,
         "step": step,
         "crossings": crossings,
         "t_max": t_max,
-        "complement": complement,
+        "complement": False,  # kept so trace.meta.json stays byte-identical
         "direction": inst.direction.literals(),
         "start": [v.literal() for v in inst.s_values],
         "volume": inst.polytope.volume,
@@ -347,9 +327,8 @@ def quadrature_delta_profile(inst: FlowInstance, t_max: float, step: float,
         "time_scale": inst.time_scale,
         "permutation": list(inst.permutation) if inst.permutation else None,
     }
-    return DiscrepancyTrace(times=np.array(ts),
-                            deltas=np.array(deltas) / inst.time_scale,
-                            meta=meta)
+    return DiscrepancyTrace(times=t_here / inst.time_scale,
+                            deltas=deltas / inst.time_scale, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -603,12 +582,6 @@ class DiscrepancyTrace:
     def sup(self) -> float:
         return float(np.max(np.abs(self.deltas)))
 
-    def sup_on(self, t_lo: float, t_hi: float) -> float:
-        mask = (self.times >= t_lo) & (self.times <= t_hi)
-        if not np.any(mask):
-            raise ValidationError(f"no trace samples in [{t_lo}, {t_hi}]")
-        return float(np.max(np.abs(self.deltas[mask])))
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -622,6 +595,8 @@ class DiscrepancyTrace:
 
 
 def _sample_times(t_max: float, n_samples: int, schedule: str) -> np.ndarray:
+    if n_samples < 1:
+        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     if schedule == "linear":
         return np.linspace(t_max / n_samples, t_max, n_samples)
     if schedule == "geometric":

@@ -231,73 +231,32 @@ class FlagFormSet:
     def __len__(self) -> int:
         return len(self.forms)
 
-    @property
-    def total_flags(self) -> int:
-        return sum(f.multiplicity for f in self.forms)
-
-
-def _gram_schmidt(rows: list[np.ndarray]) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for r in rows:
-        v = r.astype(np.float64).copy()
-        for u in out:
-            v -= np.dot(v, u) * u
-        norm = np.linalg.norm(v)
-        if norm < 1e-10:
-            raise DegeneratePolytopeError("flag normals are linearly dependent")
-        out.append(v / norm)
-    return out
-
-
-def _dedup_key(vectors: list[np.ndarray]) -> tuple:
-    """Each vector rounded to 9 digits, its first component above 1e-12 made positive."""
-    key = []
-    for v in vectors:
-        lead = v[np.abs(v) > 1e-12]
-        key.append(tuple(np.round(-v if len(lead) and lead[0] < 0 else v, 9)))
-    return tuple(key)
-
-
-def _flag_chains(polygon_vertices):
-    """Orthonormal (edge normal, endpoint) chain of every complete flag of a
-    convex polygon."""
-    verts = np.asarray(polygon_vertices, dtype=np.float64)
-    if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
-        raise ValidationError("flags need a planar polygon with >= 3 vertices")
-    m = len(verts)
-    for i in range(m):
-        p, q = verts[i], verts[(i + 1) % m]
-        edge = q - p
-        if np.linalg.norm(edge) < 1e-13:
-            raise DegeneratePolytopeError("zero-length polygon edge")
-        normal = np.array([edge[1], -edge[0]])  # outward for CCW order
-        for w, other in ((q, p), (p, q)):
-            into_w = w - other  # endpoint's outward direction within the edge
-            yield _gram_schmidt([normal, into_w])
-
-
-def _merge_chains(chains) -> FlagFormSet:
-    """Forms from chains, duplicates by direction merged with a multiplicity
-    count, in order of first appearance."""
-    seen: dict[tuple, list] = {}
-    for chain in chains:
-        seen.setdefault(_dedup_key(chain), [chain, 0])[1] += 1
-    return FlagFormSet(forms=tuple(
-        FlagForm(vectors=tuple(tuple(v) for v in chain), multiplicity=mult)
-        for chain, mult in seen.values()))
-
-
-def flag_forms(polygon_vertices: np.ndarray) -> FlagFormSet:
-    """All complete flags (edge, endpoint) of a convex polygon, as
-    orthonormal form tuples; duplicates by direction are merged with a
-    multiplicity count.
-    """
-    return _merge_chains(_flag_chains(polygon_vertices))
-
 
 def flag_forms_of_arrangement(arr: Arrangement) -> FlagFormSet:
-    """Union of the flag forms of every cell, deduplicated by direction."""
-    return _merge_chains(chain for cell in arr.cells for chain in _flag_chains(cell.vertices))
+    """Flag forms of every cell, merged by direction.
+
+    A complete flag of a cell is an edge and one of its endpoints; its form
+    is the edge's unit outward normal and the unit vector along the edge
+    into the endpoint.  Forms equal up to the sign of each vector, to 9
+    digits, are merged, so there is one form per direction of cell edges:
+    the vectors of the first such edge in cell order, towards its end, with
+    multiplicity two flags per edge.
+    """
+    polygons = [cell.vertices for cell in arr.cells]
+    _, vec, _, _ = _edge_table(polygons)  # leaves out edges shorter than 1e-15
+    length = np.sqrt(vec[:, 0] * vec[:, 0] + vec[:, 1] * vec[:, 1])
+    if len(vec) < sum(len(v) for v in polygons) or np.any(length < 1e-10):
+        raise DegeneratePolytopeError("flags need cell edges of length >= 1e-10")
+    normal = np.stack([vec[:, 1], -vec[:, 0]], axis=1) / length[:, None]
+    vectors = np.stack([normal, vec / length[:, None]], axis=1)
+    # the first component above 1e-12 made positive; + 0.0 turns -0.0 into 0.0
+    lead = np.where(np.abs(vectors[..., :1]) > 1e-12, vectors[..., :1], vectors[..., 1:])
+    keys = np.round(np.where(lead < 0, -vectors, vectors), 9).reshape(-1, 4) + 0.0
+    _, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return FlagFormSet(forms=tuple(
+        FlagForm(vectors=tuple(map(tuple, vectors[e].tolist())), multiplicity=2 * int(c))
+        for e, c in zip(first[order], counts[order])))
 
 
 def _lattice_vectors(ns) -> np.ndarray:
@@ -338,11 +297,6 @@ def flag_decay_envelopes(forms: FlagFormSet, ns) -> np.ndarray:
             denom *= np.abs(v1 * n1 + v2 * n2) + 1.0
         total += 1.0 / denom
     return total
-
-
-def flag_decay_envelope(forms: FlagFormSet, n) -> float:
-    """The decay envelope at one lattice vector (see flag_decay_envelopes)."""
-    return float(flag_decay_envelopes(forms, [n])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +353,6 @@ def _edge_sums(start, vec, ns: np.ndarray, weight) -> np.ndarray:
     return np.sum(weight * flux * phase * factor, axis=1)
 
 
-def polygon_exponential_integral(vertices, n) -> complex:
-    """Exact integral of e^{-2 pi i <n,x>} over a convex polygon, for a
-    lattice vector n: one polygon through the edge kernel (_edge_sums).
-    """
-    start, vec, _, area = _edge_table([vertices])
-    ns = _lattice_vectors([n])
-    n_sq = float(ns[0] @ ns[0])
-    if n_sq == 0.0:
-        return complex(area[0])
-    return complex(_edge_sums(start, vec, ns, 1.0)[0] / (-2j * math.pi * n_sq))
-
-
 def coefficients_3d(arr: Arrangement, ns) -> np.ndarray:
     """Exact coefficients of the piecewise-affine torus function given by an
     arrangement, at every row of a (K, 2) array of lattice vectors.
@@ -434,13 +376,6 @@ def coefficients_3d(arr: Arrangement, ns) -> np.ndarray:
     if zero.any():
         out[zero] = arr.mean()
     return out
-
-
-def fourier_coeff_exact_3d(arr: Arrangement, n) -> FourierCoefficient:
-    """The coefficient at one lattice vector (see coefficients_3d)."""
-    ns = _lattice_vectors([n])
-    return FourierCoefficient(tuple(int(v) for v in ns[0]),
-                              complex(coefficients_3d(arr, ns)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -73,21 +73,6 @@ class Direction:
             )
 
 
-def projection_pi(x, direction: Direction) -> np.ndarray:
-    """Project lifted points along the flow onto the last-coordinate-zero plane:
-    (x_1 - a_1 x_d, ..., x_{d-1} - a_{d-1} x_d)."""
-    direction.require_normalized()
-    alpha = direction.floats()
-    pts = np.asarray(x, dtype=np.float64)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.shape[1] != direction.d:
-        raise ValidationError(f"points have dimension {pts.shape[1]}, direction {direction.d}")
-    out = pts[:, :-1] - np.outer(pts[:, -1], alpha[:-1])
-    return out[0] if single else out
-
-
 # ---------------------------------------------------------------------------
 # polytopes
 # ---------------------------------------------------------------------------
@@ -288,10 +273,6 @@ class Polytope:
         return f"Polytope(d={self.d}, vertices={len(self.vertices)}, facets={self.n_facets})"
 
 
-def polytope_volume(p: Polytope) -> float:
-    return p.volume
-
-
 def random_polygon(rng, n_vertices: int, margin: float = 0.05,
                    min_area: float = 0.02) -> Polytope:
     """A random convex polygon with exactly n_vertices corners, inside
@@ -369,9 +350,6 @@ class Box:
     @property
     def volume(self) -> float:
         return float(np.prod(np.array(self.hi) - np.array(self.lo)))
-
-    def as_polytope(self) -> Polytope:
-        return Polytope.box(self.lo, self.hi)
 
     def contains_fracs(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -499,14 +477,6 @@ class SectionEvaluator:
                     np.maximum(lo, r / b, out=lo)
             total += np.clip(hi - lo, 0.0, None)
         return total
-
-
-def segment_polytope_length(evaluator: SectionEvaluator, x, t_range=(0.0, 1.0)) -> float:
-    """Length of {t in t_range : lifted point of x at time t lies in the body}."""
-    t0, t1 = float(t_range[0]), float(t_range[1])
-    if not (0.0 <= t0 <= t1 <= 1.0):
-        raise ValidationError(f"t_range must sit inside [0, 1], got {t_range}")
-    return evaluator.length(x, t0, t1)
 
 
 # ---------------------------------------------------------------------------

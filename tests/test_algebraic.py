@@ -22,7 +22,6 @@ from torusflow.algebraic import (
     frac_orbit_floats,
     frac_point,
     parse_literal,
-    sqrt_int,
 )
 from torusflow.errors import ValidationError
 
@@ -59,7 +58,7 @@ def test_malformed_literals_rejected(bad):
 
 def test_sqrt_int_high_precision():
     """eval_mpf must deliver the requested working precision, not float64."""
-    got = sqrt_int(2).eval_mpf(220)
+    got = parse_literal("sqrt(2)").eval_mpf(220)
     with mpmath.workprec(260):
         err = abs(got - mpmath.sqrt(2))
     assert err < mpmath.mpf(2) ** -210

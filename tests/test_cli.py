@@ -272,10 +272,41 @@ def test_run_experiment_quadrature_summary(tmp_path):
     assert "bound_value" not in result  # no certificate without transversality
 
 
-def test_precision_flag_sets_environment(tmp_path, monkeypatch, capsys):
+def test_precision_flag_does_not_leak(tmp_path, monkeypatch, capsys):
+    """--precision applies to its own run only and is checked like the
+    environment variable."""
     import os
     monkeypatch.delenv("TORUSFLOW_PRECISION_BITS", raising=False)
-    main(["dioph", "--config", _write_config(tmp_path, TRIANGLE_CONFIG),
-          "--precision", "256"])
-    assert os.environ.get("TORUSFLOW_PRECISION_BITS") == "256"
+    path = _write_config(tmp_path, TRIANGLE_CONFIG)
+    assert main(["dioph", "--config", path, "--precision", "10"]) == EXIT_VALIDATION
+    assert "precision_bits must be an integer >= 64" in capsys.readouterr().err
+    assert main(["dioph", "--config", path, "--precision", "256"]) == EXIT_OK
+    assert "TORUSFLOW_PRECISION_BITS" not in os.environ
+    assert main(["dioph", "--config", path]) == EXIT_OK
+    bad = _write_config(tmp_path, dict(TRIANGLE_CONFIG, precision_bits=63), "bad.json")
+    assert main(["dioph", "--config", bad]) == EXIT_VALIDATION
+    with pytest.raises(ValidationError):
+        load_config(None, {"precision_bits": "256"})
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("step", [-1.0, 0.0])
+@pytest.mark.parametrize("command", ["compute", "trace"])
+def test_bad_quadrature_step_is_a_validation_error(tmp_path, capsys, command, step):
+    cfg = dict(TRIANGLE_CONFIG, quadrature_step=step,
+               schedule={"t_max": 50.0, "n_samples": 10, "kind": "linear"})
+    path = _write_config(tmp_path, cfg)
+    assert main([command, "--config", path, "--engine", "quadrature"]) == EXIT_VALIDATION
+    assert "quadrature step must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_samples", [0, -5])
+@pytest.mark.parametrize("kind", ["linear", "geometric", "integer"])
+def test_bad_sample_count_is_a_validation_error(tmp_path, capsys, kind, n_samples):
+    cfg = dict(TRIANGLE_CONFIG, schedule={"t_max": 500.0, "n_samples": n_samples,
+                                          "kind": kind})
+    path = _write_config(tmp_path, cfg)
+    assert main(["trace", "--config", path]) == EXIT_VALIDATION
+    assert "n_samples must be >= 1" in capsys.readouterr().err
+    assert main(["trace", "--config", path, "--engine", "quadrature"]) == EXIT_VALIDATION
+    assert "n_samples must be >= 1" in capsys.readouterr().err

@@ -17,13 +17,10 @@ from torusflow.diophantine import (
     SchmidtScan,
     approximation_exponent_scan,
     block_capacity,
-    build_profile,
     continued_fraction,
     diophantine_series,
     dyadic_spacing_audit,
-    grepstad_larcher_sum,
     materialize_dyadic_block,
-    nearest_integer_distance,
     schmidt_inequality_scan,
 )
 from torusflow.errors import (
@@ -38,7 +35,6 @@ SERIES_HEAD_1E4 = 6.4879890140002380460952184389508275371021017830236
 # Direct continuation of the same series over 10^4 < n <= 10^5 (the certified
 # tail bound must dominate this).
 SERIES_CONTINUATION_1E4_1E5 = 0.0020884223948037220538
-GL_SUMS_DEPTH_3_TO_7 = [7.430721, 9.666789, 11.78811, 13.72956, 15.475304]
 
 
 def test_silver_ratio_quotients(silver):
@@ -99,7 +95,6 @@ def test_series_partial_sum_matches_reference(silver):
     np.testing.assert_allclose(sb.partial_sum, SERIES_HEAD_1E4, rtol=1e-14)
     assert sb.partial_sum_digits.startswith("6.487989014000238046095")
     assert sb.tail_bound >= SERIES_CONTINUATION_1E4_1E5
-    assert sb.total_upper == sb.partial_sum + sb.tail_bound
 
 
 def test_series_monotone_in_cutoff(silver):
@@ -131,23 +126,6 @@ def test_exponent_scan(silver):
     assert "n" in header and "distance" in header
 
 
-def test_grepstad_larcher_sum_monotone():
-    cf = continued_fraction(parse_literal("(sqrt(5) - 1) / 2"), 30)
-    got = [grepstad_larcher_sum(cf, d) for d in range(3, 8)]
-    np.testing.assert_allclose(got, GL_SUMS_DEPTH_3_TO_7, rtol=1e-5)
-    assert all(b > a for a, b in zip(got, got[1:]))
-
-
-def test_nearest_integer_distance():
-    with mpmath.workprec(200):
-        want = float(abs(mpmath.sqrt(50) - mpmath.nint(mpmath.sqrt(50))))
-    # sqrt(50) = 5 sqrt(2), so this is ||5 sqrt(2)||
-    d = nearest_integer_distance(parse_literal("sqrt(50)"))
-    np.testing.assert_allclose(d, want, rtol=1e-12)
-    np.testing.assert_allclose(nearest_integer_distance(parse_literal("sqrt(2)")),
-                               2 ** 0.5 - 1, rtol=1e-12)
-
-
 def test_schmidt_scan_and_dyadic_audit(silver):
     form = np.array([1.0])
     scan = schmidt_inequality_scan([silver], [form], 0.5, 10000)
@@ -164,11 +142,10 @@ def test_schmidt_scan_and_dyadic_audit(silver):
 
 
 def test_profile_summary(silver):
-    prof = build_profile(silver, n_max=2000)
-    np.testing.assert_allclose(prof.worst_exponent, 2.5431066063272243, rtol=1e-10)
-    assert prof.badly_approximable_bound == 2
-    assert prof.series is not None
-    assert prof.n_max_scanned == 2000
+    scan = approximation_exponent_scan(silver, 2000, 1.5)
+    np.testing.assert_allclose(scan.worst_exponent, 2.5431066063272243, rtol=1e-10)
+    assert continued_fraction(silver, 48).max_quotient == 2
+    assert diophantine_series(silver, 2000).n_max == 2000
 
 
 # -- the vectorised dyadic block and audit against the pure-Python loops ----

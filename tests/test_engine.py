@@ -1,6 +1,8 @@
 """Continuous and discrete discrepancy evaluation."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -88,11 +90,11 @@ def test_flow_cocycle(triangle_instance, silver_direction, triangle, rng):
     """Delta_{t+u}(s) = Delta_t(s) + Delta_u(s + t*alpha)."""
     for _ in range(4):
         t, u = rng.uniform(1, 40, 2)
-        mid = triangle_instance.flow_point(float(t))
+        t_val = AlgebraicValue.coerce(float(t))
+        mid = [float(s + t_val * a) % 1.0 for s, a in
+               zip(triangle_instance.s_values, triangle_instance.direction.values)]
         shifted = FlowInstance.build(
-            silver_direction,
-            [AlgebraicValue.coerce(float(c)) for c in mid],
-            triangle)
+            silver_direction, [AlgebraicValue.coerce(c) for c in mid], triangle)
         lhs = delta_T_exact(triangle_instance, float(t + u))
         rhs = (delta_T_exact(triangle_instance, float(t))
                + delta_T_exact(shifted, float(u)))
@@ -112,13 +114,6 @@ def test_quadrature_error_bound_is_honest(rng):
         assert abs(exact - est.value) < 3e-3
 
 
-def test_quadrature_complement_flips_sign(triangle_instance):
-    est = delta_T_quadrature(triangle_instance, 33.7, step=1e-3)
-    comp = delta_T_quadrature(triangle_instance, 33.7, step=1e-3, complement=True)
-    np.testing.assert_allclose(comp.value, -est.value, atol=1e-13)
-    assert comp.crossings == est.crossings
-
-
 def test_quadrature_profile_shape(triangle_instance):
     trace = quadrature_delta_profile(triangle_instance, 50.0, step=1e-3,
                                      sample_every=200)
@@ -126,6 +121,163 @@ def test_quadrature_profile_shape(triangle_instance):
     assert trace.meta["err_bound"] > 0
     assert len(trace.times) == 250
     assert trace.sup() >= 0
+
+
+# -- the midpoint kernel against the two loops it replaced -------------------
+
+
+def _reference_indicator(inst, t_mids):
+    alpha = inst.direction.floats()
+    s = np.array([float(v) for v in inst.s_values])
+    pts = np.mod(s[None, :] + t_mids[:, None] * alpha[None, :], 1.0)
+    return inst.polytope.contains(pts).astype(np.float64)
+
+
+def _reference_quadrature(inst, t, step):
+    """The loop delta_T_quadrature used to run: (value, error_bound,
+    crossings, step)."""
+    t_norm = t * inst.time_scale
+    lam = inst.polytope.volume
+    n = max(1, int(math.ceil(t_norm / step)))
+    h = t_norm / n
+    total = 0.0
+    crossings = 0
+    last = None
+    chunk = 1 << 18
+    for start in range(0, n, chunk):
+        idx = np.arange(start, min(start + chunk, n), dtype=np.float64)
+        chi = _reference_indicator(inst, (idx + 0.5) * h)
+        total += float(chi.sum())
+        flips = int(np.sum(chi[1:] != chi[:-1]))
+        if last is not None and len(chi) and chi[0] != last:
+            flips += 1
+        crossings += flips
+        if len(chi):
+            last = chi[-1]
+    value = (h * total - t_norm * lam) / inst.time_scale
+    err = h * (0.5 * crossings + 2.0) / inst.time_scale
+    return value, err, crossings, h
+
+
+def _reference_profile(inst, t_max, step, sample_every):
+    """The loop quadrature_delta_profile used to run, with its chunk growing
+    with sample_every: (times, deltas, crossings)."""
+    t_norm = t_max * inst.time_scale
+    n = int(round(t_norm / step))
+    lam = inst.polytope.volume
+    ts, deltas = [], []
+    running = 0.0
+    crossings = 0
+    last = None
+    chunk = sample_every * max(1, (1 << 18) // sample_every)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        idx = np.arange(start, stop, dtype=np.float64)
+        chi = _reference_indicator(inst, (idx + 0.5) * step)
+        flips = int(np.sum(chi[1:] != chi[:-1]))
+        if last is not None and len(chi) and chi[0] != last:
+            flips += 1
+        crossings += flips
+        if len(chi):
+            last = chi[-1]
+        c = np.cumsum(chi)
+        marks = np.arange(sample_every - 1 - (start % sample_every), stop - start,
+                          sample_every, dtype=np.int64)
+        for m in marks:
+            t_here = (start + m + 1) * step
+            ts.append(t_here / inst.time_scale)
+            deltas.append((running + c[m]) * step - t_here * lam)
+        running += float(c[-1]) if len(c) else 0.0
+    return np.array(ts), np.array(deltas) / inst.time_scale, crossings
+
+
+def _assert_profile_matches(inst, t_max, step, sample_every):
+    trace = quadrature_delta_profile(inst, t_max, step, sample_every=sample_every)
+    times, deltas, crossings = _reference_profile(inst, t_max, step, sample_every)
+    assert np.array_equal(trace.times, times) and trace.times.dtype == times.dtype
+    assert np.array_equal(trace.deltas, deltas)
+    assert trace.meta["crossings"] == crossings
+    assert trace.meta["err_bound"] == step * (0.5 * crossings + 2.0) / inst.time_scale
+    return trace
+
+
+def test_quadrature_matches_reference_loop():
+    """Criterion 02's ten polygons (at a coarser step), bit for bit."""
+    rng = np.random.default_rng(20260817)
+    dirs = [Direction.make([parse_literal("sqrt(2) - 1"), parse_literal("1")]),
+            Direction.make([parse_literal("sqrt(3) - 1"), parse_literal("1")])]
+    for i in range(10):
+        poly = random_polygon(rng, int(rng.integers(3, 8)))
+        inst = FlowInstance.build(dirs[i % 2], (ZERO, ZERO), poly)
+        est = delta_T_quadrature(inst, 50.0, step=1e-4)
+        assert (est.value, est.error_bound, est.crossings, est.step) == \
+            _reference_quadrature(inst, 50.0, 1e-4)
+        _assert_profile_matches(inst, 50.0, 1e-4, 250)
+
+
+def test_quadrature_matches_reference_on_tangent_body():
+    """Criterion 10's parallelogram, a sample spacing above one 2**18-point
+    chunk, and a direction rescaled to last coordinate 1 (time scale 3)."""
+    par = Polytope.from_vertices(PARALLELOGRAM)
+    inst = FlowInstance.build([parse_literal("sqrt(2)"), parse_literal("1")],
+                              (ZERO, ZERO), par)
+    trace = _assert_profile_matches(inst, 1000.0, 1e-3, 250)
+    assert len(trace.times) == 4000
+    est = delta_T_quadrature(inst, 1000.0, step=1e-3)
+    assert (est.value, est.error_bound, est.crossings, est.step) == \
+        _reference_quadrature(inst, 1000.0, 1e-3)
+    every = (1 << 18) + 12345  # marks fall inside the second and third chunks
+    trace = _assert_profile_matches(inst, 800.0, 1e-3, every)
+    assert len(trace.times) == 2
+    tri = Polytope.from_vertices([(0.1, 0.1), (0.9, 0.1), (0.1, 0.9)])
+    scaled = FlowInstance.build([parse_literal("1"), parse_literal("3")],
+                                (ZERO, ZERO), tri)
+    assert scaled.time_scale == 3.0
+    _assert_profile_matches(scaled, 200.0, 1e-3, 700)
+    est = delta_T_quadrature(scaled, 200.0, step=1e-3)
+    assert (est.value, est.error_bound, est.crossings, est.step) == \
+        _reference_quadrature(scaled, 200.0, 1e-3)
+
+
+def test_quadrature_profile_edge_cases(triangle_instance):
+    empty = quadrature_delta_profile(triangle_instance, 0.1, 1e-3, sample_every=1000)
+    assert empty.times.shape == empty.deltas.shape == (0,)
+    _assert_profile_matches(triangle_instance, 0.1, 1e-3, 1000)
+    _assert_profile_matches(triangle_instance, 3.0, 1e-3, 1)
+    _assert_profile_matches(triangle_instance, 3.0, 1e-3, 3000)
+
+
+def test_quadrature_counts_a_flip_on_a_chunk_edge(triangle_instance):
+    """Step chosen so the flow leaves or enters the body between the last
+    midpoint of the first 2**18-point chunk and the first of the second."""
+    inst = triangle_instance
+    grid = np.arange(1, 5001) * 1e-3
+    hit = _reference_indicator(inst, grid)
+    i = int(np.flatnonzero(hit[1:] != hit[:-1])[0])
+    lo, hi = grid[i], grid[i + 1]
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _reference_indicator(inst, np.array([mid]))[0] == hit[i] else (lo, mid)
+    h = 0.5 * (lo + hi) / (1 << 18)
+    edge = _reference_indicator(inst, np.array([(1 << 18) - 0.5, (1 << 18) + 0.5]) * h)
+    assert edge[0] != edge[1]
+    _assert_profile_matches(inst, h * ((1 << 18) + 500), h, 1000)
+    est = delta_T_quadrature(inst, h * ((1 << 18) + 500), step=h)
+    assert est.crossings == _reference_quadrature(inst, h * ((1 << 18) + 500), h)[2]
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, -1e-3, float("nan"), float("inf")])
+def test_quadrature_rejects_bad_step(triangle_instance, step):
+    with pytest.raises(ValidationError, match="step"):
+        delta_T_quadrature(triangle_instance, 50.0, step=step)
+    with pytest.raises(ValidationError, match="step"):
+        quadrature_delta_profile(triangle_instance, 50.0, step)
+
+
+@pytest.mark.parametrize("every", [0, -3])
+def test_quadrature_profile_rejects_bad_sample_spacing(triangle_instance, every):
+    with pytest.raises(ValidationError, match="sample_every"):
+        quadrature_delta_profile(triangle_instance, 50.0, 1e-3, sample_every=every)
 
 
 def test_discrete_golden_rotation():

@@ -15,24 +15,22 @@ from torusflow.diophantine import diophantine_series
 from torusflow.errors import DegeneratePolytopeError, ValidationError
 from torusflow.fourier import (
     _CHUNK,
+    _edge_sums,
+    _edge_table,
     _lattice_shell,
     coefficients_3d,
     coefficients_csv,
     coefficients_csv_3d,
     envelope_fit,
-    flag_forms,
     flag_forms_of_arrangement,
     fourier_coeff_exact_2d,
-    fourier_coeff_exact_3d,
     fourier_coeffs_2d,
     fourier_majorant_2d,
-    flag_decay_envelope,
     flag_decay_envelopes,
     per_coefficient_bound,
     polygon_discrepancy_bound,
-    polygon_exponential_integral,
 )
-from torusflow.geometry import Arrangement, ArrangementCell
+from torusflow.geometry import Arrangement, ArrangementCell, Direction, Polytope, arrangement_cells
 
 # Coefficients of the reference triangle section, verified against midpoint
 # Riemann sums with 2e5 nodes (agreement ~2e-12).
@@ -185,9 +183,25 @@ def test_majorant_rejects_zero_distance(triangle_section):
         "||8 alpha|| = 0 at working scale; alpha rational?")
 
 
+def _one_cell(vertices):
+    return Arrangement(cells=(ArrangementCell(
+        vertices=np.asarray(vertices, dtype=float), gradient=np.zeros(2), offset=0.0,
+        fit_residual=0.0),), lines=())
+
+
+def _polygon_integral(vertices, n):
+    """Integral of e(-<n, x>) over one CCW polygon through the edge kernel."""
+    start, vec, _, area = _edge_table([vertices])
+    n_sq = float(np.dot(n, n))
+    if n_sq == 0.0:
+        return complex(area[0])
+    ns = np.array([n], dtype=np.float64)
+    return complex(_edge_sums(start, vec, ns, 1.0)[0] / (-2j * math.pi * n_sq))
+
+
 def test_unit_square_flags():
-    forms = flag_forms(UNIT_SQUARE)
-    assert forms.total_flags == 8
+    forms = flag_forms_of_arrangement(_one_cell(UNIT_SQUARE))
+    assert sum(f.multiplicity for f in forms.forms) == 8
     assert len(forms) == 2
     assert sorted(f.multiplicity for f in forms.forms) == [4, 4]
     for f in forms.forms:
@@ -197,26 +211,26 @@ def test_unit_square_flags():
 
 
 def test_triangle_flags(triangle):
-    forms = flag_forms(np.asarray(triangle.vertices, dtype=float))
-    assert forms.total_flags == 6
+    forms = flag_forms_of_arrangement(_one_cell(triangle.vertices))
+    assert sum(f.multiplicity for f in forms.forms) == 6
     assert 1 <= len(forms) <= 6
 
 
 def test_envelope_properties():
-    forms = flag_forms(UNIT_SQUARE)
-    vals = [flag_decay_envelope(forms, (n, 0)) for n in (1, 2, 4, 8)]
+    forms = flag_forms_of_arrangement(_one_cell(UNIT_SQUARE))
+    vals = flag_decay_envelopes(forms, [(n, 0) for n in (1, 2, 4, 8)])
     assert all(v > 0 for v in vals)
     assert all(b < a for a, b in zip(vals, vals[1:]))
-    np.testing.assert_allclose(flag_decay_envelope(forms, (3, 5)),
-                               flag_decay_envelope(forms, (-3, -5)), rtol=1e-14)
+    pair = flag_decay_envelopes(forms, [(3, 5), (-3, -5)])
+    np.testing.assert_allclose(pair[0], pair[1], rtol=1e-14)
 
 
 def test_polygon_exponential_integral():
     # n = 0 returns the plain area
-    np.testing.assert_allclose(polygon_exponential_integral(UNIT_SQUARE, (0, 0)),
+    np.testing.assert_allclose(_polygon_integral(UNIT_SQUARE, (0, 0)),
                                1.0, atol=1e-14)
     # over the full square a pure x-harmonic integrates to zero
-    np.testing.assert_allclose(polygon_exponential_integral(UNIT_SQUARE, (1, 0)),
+    np.testing.assert_allclose(_polygon_integral(UNIT_SQUARE, (1, 0)),
                                0.0, atol=1e-12)
     tri = np.array([(0.1, 0.1), (0.7, 0.2), (0.3, 0.8)])
     m = 600
@@ -233,21 +247,20 @@ def test_polygon_exponential_integral():
         return sign
     mask = inside(xx, yy)
     ref = np.sum(np.exp(-2j * np.pi * (2 * xx + 3 * yy)) * mask) / m ** 2
-    got = polygon_exponential_integral(tri, (2, 3))
+    got = _polygon_integral(tri, (2, 3))
     np.testing.assert_allclose(got, ref, atol=2e-5)
-    np.testing.assert_allclose(polygon_exponential_integral(tri, (0, 0)), 0.2, rtol=1e-14)
+    np.testing.assert_allclose(_polygon_integral(tri, (0, 0)), 0.2, rtol=1e-14)
     with pytest.raises(DegeneratePolytopeError):
-        polygon_exponential_integral(tri[::-1], (1, 0))
+        _polygon_integral(tri[::-1], (1, 0))
     with pytest.raises(ValidationError):
-        polygon_exponential_integral(tri[:2], (1, 0))
+        _polygon_integral(tri[:2], (1, 0))
 
 
 def test_box3_coefficients(box3_arrangement):
     arr = box3_arrangement
-    c00 = fourier_coeff_exact_3d(arr, (0, 0))
-    np.testing.assert_allclose(c00.value, arr.mean(), atol=1e-14)
-    c11 = fourier_coeff_exact_3d(arr, (1, 1))
-    np.testing.assert_allclose(c11.value, BOX3_COEFF_11, atol=1e-12)
+    c00, c11 = coefficients_3d(arr, [(0, 0), (1, 1)])
+    np.testing.assert_allclose(c00, arr.mean(), atol=1e-14)
+    np.testing.assert_allclose(c11, BOX3_COEFF_11, atol=1e-12)
 
 
 def test_box3_coefficients_separable_reference(box3_arrangement):
@@ -270,20 +283,20 @@ def test_box3_coefficients_separable_reference(box3_arrangement):
         for n2 in range(-3, 4):
             want = (interval_hat(n1) * interval_hat(n2)
                     * axis_factor(n1 * a1 + n2 * a2))
-            got = fourier_coeff_exact_3d(box3_arrangement, (n1, n2)).value
+            got = coefficients_3d(box3_arrangement, [(n1, n2)])[0]
             np.testing.assert_allclose(got, want, atol=1e-12, err_msg=str((n1, n2)))
 
 
 def test_box3_resonant_coefficient(box3_arrangement):
     # 5 * 0.4 = 2, so the second interval factor vanishes at n2 = 5
-    got = fourier_coeff_exact_3d(box3_arrangement, (7, 5)).value
+    got = coefficients_3d(box3_arrangement, [(7, 5)])[0]
     assert abs(got) < 1e-14
 
 
 def test_arrangement_flags_and_fit(box3_arrangement):
     forms = flag_forms_of_arrangement(box3_arrangement)
     assert len(forms) == 3
-    assert forms.total_flags == 1000
+    assert sum(f.multiplicity for f in forms.forms) == 1000
     fit = envelope_fit(box3_arrangement, forms, inner=(0, 8), outer=(8, 16))
     assert fit.c_inner > 0 and fit.c_outer > 0
     expected = fit.c_outer <= 2 * fit.c_inner and fit.c_inner <= 2 * fit.c_outer
@@ -471,7 +484,7 @@ def test_edge_orthogonal_to_vector_takes_series_branch():
         assert abs(z) < 1e-8
         want = _reference_polygon_integral(verts, n)
         tol = _edge_sum_tolerance([verts], [[1.0]], [n])[0] / (2 * np.pi * np.dot(n, n))
-        assert abs(polygon_exponential_integral(verts, n) - want) <= tol
+        assert abs(_polygon_integral(verts, n) - want) <= tol
     arr = Arrangement(cells=(
         ArrangementCell(vertices=ORTHO_QUAD, gradient=np.array([0.3, -0.7]),
                         offset=0.1, fit_residual=0.0),
@@ -525,7 +538,7 @@ def test_lattice_symmetry_and_envelope_property(box3_arrangement, box3_forms, ve
     tols = _coeff_tolerance(box3_arrangement, ns)
     for n, c_plus, c_minus, env, tol in zip(vectors, plus, minus, envs, tols):
         assert abs(c_minus - np.conj(c_plus)) <= tol
-        assert env == flag_decay_envelope(forms, n)
+        assert env == flag_decay_envelopes(forms, [n])[0]
         want = _reference_envelope(forms, n)
         assert abs(env - want) <= _envelope_rtol(forms, n) * want
 
@@ -540,10 +553,87 @@ def test_lattice_functions_reject_bad_vectors(box3_arrangement, bad):
         coefficients_3d(box3_arrangement, bad)
     with pytest.raises(ValidationError):
         flag_decay_envelopes(forms, bad)
-    if len(bad) == 1:
-        with pytest.raises(ValidationError):
-            fourier_coeff_exact_3d(box3_arrangement, bad[0])
-        with pytest.raises(ValidationError):
-            flag_decay_envelope(forms, bad[0])
-        with pytest.raises(ValidationError):
-            polygon_exponential_integral(UNIT_SQUARE, bad[0])
+
+
+# -- flag forms from one edge pass against the per-flag chains ---------------
+
+
+def _reference_flag_chains(polygon_vertices):
+    """The per-flag loop: the Gram-Schmidt (edge normal, endpoint) chain of
+    every complete flag of a convex polygon."""
+    verts = np.asarray(polygon_vertices, dtype=np.float64)
+    m = len(verts)
+    for i in range(m):
+        p, q = verts[i], verts[(i + 1) % m]
+        edge = q - p
+        if np.linalg.norm(edge) < 1e-13:
+            raise DegeneratePolytopeError("zero-length polygon edge")
+        chain = []
+        for r in (np.array([edge[1], -edge[0]]), edge):  # outward normal, into q
+            v = r.copy()
+            for u in chain:
+                v -= np.dot(v, u) * u
+            if np.linalg.norm(v) < 1e-10:
+                raise DegeneratePolytopeError("flag normals are linearly dependent")
+            chain.append(v / np.linalg.norm(v))
+        yield chain
+        yield [chain[0], -chain[1]]  # the same flag towards p
+
+
+def _reference_merge_chains(chains):
+    """Chains merged by a 9-digit key of each vector, its first component
+    above 1e-12 made positive, with a multiplicity count, in order of first
+    appearance: [(vectors, multiplicity)]."""
+    seen = {}
+    for chain in chains:
+        key = []
+        for v in chain:
+            lead = v[np.abs(v) > 1e-12]
+            key.append(tuple(np.round(-v if len(lead) and lead[0] < 0 else v, 9)))
+        seen.setdefault(tuple(key), [chain, 0])[1] += 1
+    return [(np.array(chain), mult) for chain, mult in seen.values()]
+
+
+def _random_bodies(rng, count):
+    """Random boxes and perturbed tetrahedra inside the unit cube."""
+    for i in range(count):
+        if i % 2 == 0:
+            lo = rng.uniform(0.05, 0.45, 3)
+            yield Polytope.box(tuple(lo), tuple(lo + rng.uniform(0.1, 0.5, 3)))
+        else:
+            base = np.array([(0.1, 0.1, 0.1), (0.8, 0.2, 0.15),
+                             (0.3, 0.85, 0.2), (0.35, 0.3, 0.9)])
+            yield Polytope.from_vertices(base + rng.uniform(-0.05, 0.05, base.shape))
+
+
+def test_flag_forms_match_reference_chains(box3_arrangement, tetra3_arrangement):
+    """Same forms, order and multiplicities as the per-flag chains, and
+    vectors within 4u.  Both sides divide an edge vector by its rounded
+    length (the chains' norm goes through a dot product, so it may round
+    differently), and the chains' tangent also subtracts a projection of
+    order u; 2u has been seen."""
+    surds = ["sqrt(2) - 1", "sqrt(3) - 1", "sqrt(5) - 2", "sqrt(7) - 2", "(sqrt(5) - 1) / 2"]
+    rng = np.random.default_rng(808)
+    arrangements = [box3_arrangement, tetra3_arrangement]
+    for body in _random_bodies(rng, 24):
+        a, b = rng.choice(len(surds), size=2, replace=False)
+        direction = Direction.make([parse_literal(surds[a]), parse_literal(surds[b]),
+                                    parse_literal("1")])
+        arrangements.append(arrangement_cells(body, direction))
+    for arr in arrangements:
+        got = flag_forms_of_arrangement(arr)
+        want = _reference_merge_chains(
+            chain for cell in arr.cells for chain in _reference_flag_chains(cell.vertices))
+        assert [f.multiplicity for f in got.forms] == [m for _, m in want]
+        for form, (vectors, _) in zip(got.forms, want):
+            assert np.max(np.abs(np.array(form.vectors) - vectors)) <= 4 * _U
+    assert len(flag_forms_of_arrangement(box3_arrangement)) == 3
+
+
+def test_flag_forms_reject_short_edges():
+    for gap in (0.0, 1e-14, 5e-11):
+        square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, gap), (1.0, 1.0), (0.0, 1.0)])
+        with pytest.raises(DegeneratePolytopeError):
+            flag_forms_of_arrangement(_one_cell(square))
+    square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-9), (1.0, 1.0), (0.0, 1.0)])
+    assert len(flag_forms_of_arrangement(_one_cell(square))) == 2

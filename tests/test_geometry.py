@@ -17,10 +17,8 @@ from torusflow.geometry import (
     build_piecewise_linear_section,
     cot_angles,
     polygon_moments,
-    projection_pi,
     random_polygon,
     require_transversal,
-    segment_polytope_length,
     shared_edge_checks,
     validate_transversality,
 )
@@ -74,7 +72,6 @@ def test_box_half_open_membership():
     assert inside.all()
     assert not outside.any()
     np.testing.assert_allclose(box.volume, 0.5)
-    np.testing.assert_allclose(box.as_polytope().volume, 0.5)
 
 
 def test_direction_normalization():
@@ -155,30 +152,15 @@ def test_segment_length_additive_and_matches_quadrature(triangle, silver_directi
     alpha = np.array([float(v) for v in silver_direction.values])
     for _ in range(3):
         x = float(rng.uniform(0, 1))
-        total = segment_polytope_length(ev, (x,))
+        total = ev.length((x,))
         t_mid = float(rng.uniform(0.2, 0.8))
-        part = (segment_polytope_length(ev, (x,), (0.0, t_mid))
-                + segment_polytope_length(ev, (x,), (t_mid, 1.0)))
+        part = ev.length((x,), 0.0, t_mid) + ev.length((x,), t_mid, 1.0)
         np.testing.assert_allclose(total, part, atol=1e-12)
         # midpoint-rule reference along the lifted segment
         ts = (np.arange(200000) + 0.5) / 200000.0
         pts = (np.array([x, 0.0]) + ts[:, None] * alpha) % 1.0
         ref = float(np.mean(triangle.contains(pts)))
         np.testing.assert_allclose(total, ref, atol=5e-5)
-
-
-def test_projection_formula(silver_direction, box3_direction, rng):
-    a2 = [float(v) for v in silver_direction.values]
-    for _ in range(5):
-        x = rng.uniform(0, 1, 2)
-        got = projection_pi(x, silver_direction)
-        # the projection is affine (no wrap); callers reduce mod 1 themselves
-        np.testing.assert_allclose(got, [x[0] - a2[0] * x[1]], atol=1e-12)
-    a3 = [float(v) for v in box3_direction.values]
-    x = rng.uniform(0, 1, 3)
-    got = projection_pi(x, box3_direction)
-    want = [x[0] - a3[0] * x[2], x[1] - a3[1] * x[2]]
-    np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_polygon_moments():
