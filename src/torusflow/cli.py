@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,6 +71,20 @@ EXIT_PRECISION = 3
 # ---------------------------------------------------------------------------
 
 
+#: Numeric config fields, and whether each must be an integer.
+_NUMERIC_FIELDS = {"quadrature_step": False, "series_n_max": True, "fourier_n_max": True,
+                   "grid": True, "precision_bits": True, "schedule.t_max": False,
+                   "schedule.n_samples": True}
+
+
+def _check_number(name: str, value, integral: bool):
+    """A finite int or float, or an int where ``integral``; bool is neither."""
+    if (isinstance(value, bool) or not isinstance(value, int if integral else (int, float))
+            or isinstance(value, float) and not math.isfinite(value)):
+        kind = "an integer" if integral else "a finite number"
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment run."""
@@ -103,7 +118,15 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+        cfg = cls(**raw)
+        if not isinstance(cfg.schedule, dict):
+            raise ValidationError("schedule must be a JSON object")
+        for name, integral in _NUMERIC_FIELDS.items():
+            section, _, key = name.rpartition(".")
+            values = cfg.schedule if section else raw
+            if key in values and (values[key] is not None or name != "precision_bits"):
+                _check_number(name, values[key], integral)
+        return cfg
 
     def serialize(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)

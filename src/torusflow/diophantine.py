@@ -12,11 +12,12 @@ import csv
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
 import numpy as np
+from mpmath.libmp import from_man_exp, to_str
 
 from .algebraic import (
     DEFAULT_FIXED_SCALE,
@@ -185,6 +186,12 @@ class SeriesBound:
     sub-chunks.  Beyond the computed expansion depth the same estimate is
     applied with partial quotients assumed bounded by ``quotient_cap``
     (recorded here; the assumption is empirical, not proved).
+
+    The head is exact for alpha *rounded* to r/2**scale_bits:
+    ``partial_sum`` is that head correctly rounded to a float and
+    ``partial_sum_digits`` its 30 significant digits as ``mpmath.nstr``
+    prints them.  Rounding alpha moves each ||n alpha|| by up to
+    n * 2**-scale_bits; that effect is not in either bound.
     """
 
     partial_sum: float
@@ -222,6 +229,12 @@ def diophantine_series(alpha1, n_max: int, prec_bits: int | None = None,
     diverges.  The tail bound beyond the computed continued-fraction depth
     assumes partial quotients stay below ``quotient_cap`` (default: the
     largest quotient observed); the assumption is recorded in the result.
+
+    The head is summed in integers: with ||n alpha|| = d_n / 2**scale for
+    the rounded alpha, the floors of 2**(scale+k) / (n^2 d_n) sum to s and
+    the head lies in [s, s + n_max] * 2**-k.  k doubles from 128 until both
+    ends give the same float and digits; PrecisionExhaustedError if 1024
+    does not settle them, or if some d_n <= 2n (the first such n is named).
     """
     value = AlgebraicValue.coerce(alpha1)
     if value.is_rational:
@@ -249,22 +262,26 @@ def diophantine_series(alpha1, n_max: int, prec_bits: int | None = None,
             f"continued fraction reaches only q={cf.q(cf.depth)} <= n_max={n_max}"
         )
 
-    alpha_fixed = value.fixed(scale)
-    dists = _to_ints(_multiple_distances(alpha_fixed, scale, n_max))
+    limbs = _multiple_distances(value.fixed(scale), scale, n_max)
+    unresolved = np.flatnonzero((limbs[1:] == 0).all(axis=0)
+                                & (limbs[0] <= 2 * np.arange(1, n_max + 1, dtype=np.uint64)))
+    if len(unresolved):
+        raise PrecisionExhaustedError(
+            f"||{int(unresolved[0]) + 1}*alpha|| indistinguishable from 0 at scale {scale}")
 
-    # exact partial sum: term_n = 2**scale / (n^2 * d_n) with d_n integer
-    pow_scale = mpmath.mpf(2) ** scale
-    with mpmath.workprec(bits + 32):
-        def _terms():
-            for n, d in enumerate(dists, start=1):
-                if d <= 2 * n:
-                    raise PrecisionExhaustedError(
-                        f"||{n}*alpha|| indistinguishable from 0 at scale {scale}"
-                    )
-                yield pow_scale / (n * n * d)
-
-        partial_hp = mpmath.fsum(_terms())
-        digits = mpmath.nstr(partial_hp, 30)
+    # rounding to a float and nstr are monotone within a binade, so ends that agree
+    # there pin every value between them
+    squares = map(operator.mul, range(1, n_max + 1), range(1, n_max + 1))
+    denominators = list(map(operator.mul, squares, _to_ints(limbs)))
+    for k in (128, 256, 512, 1024):
+        lo = sum(map(operator.floordiv, itertools.repeat(1 << (scale + k)), denominators))
+        ends = {(x / (1 << k), to_str(from_man_exp(x, -k), 30), x.bit_length())
+                for x in (lo, lo + n_max)}
+        if len(ends) == 1:
+            break
+    else:
+        raise PrecisionExhaustedError(f"series head undecided at 2**-{k}")
+    (partial_sum, digits, _), = ends
 
     # blockwise tail over computed convergents
     cap = quotient_cap if quotient_cap is not None else max(2, cf.max_quotient)
@@ -298,7 +315,7 @@ def diophantine_series(alpha1, n_max: int, prec_bits: int | None = None,
     tail += remainder + 10.0 * last_term
 
     return SeriesBound(
-        partial_sum=float(partial_hp),
+        partial_sum=partial_sum,
         tail_bound=tail,
         n_max=n_max,
         depth_used=cf.depth,

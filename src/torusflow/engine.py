@@ -302,14 +302,20 @@ def quadrature_delta_profile(inst: FlowInstance, t_max: float, step: float,
     """Running quadrature discrepancy sampled every ``sample_every`` steps.
 
     The trace metadata carries a single conservative error bound (full-run
-    crossing count); each prefix sample obeys the same bound.
+    crossing count); each prefix sample obeys the same bound.  A t_max that
+    leaves no sample is rejected.
     """
     _check_step(step)
     if sample_every < 1:
         raise ValidationError(f"sample_every must be >= 1, got {sample_every!r}")
+    if not 0 < t_max < math.inf:
+        raise ValidationError(f"t_max must be positive and finite, got {t_max!r}")
     t_norm = t_max * inst.time_scale
     n = int(round(t_norm / step))
     marks = np.arange(sample_every, n + 1, sample_every, dtype=np.int64)
+    if not len(marks):
+        raise ValidationError(f"t_max = {t_max!r} is shorter than one sample spacing "
+                              f"({sample_every} steps of {step!r})")
     counts, crossings = _midpoint_hits(inst, step, n, marks)
     t_here = marks * step
     deltas = counts * step - t_here * inst.polytope.volume

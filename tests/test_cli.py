@@ -310,3 +310,28 @@ def test_bad_sample_count_is_a_validation_error(tmp_path, capsys, kind, n_sample
     assert "n_samples must be >= 1" in capsys.readouterr().err
     assert main(["trace", "--config", path, "--engine", "quadrature"]) == EXIT_VALIDATION
     assert "n_samples must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_max, message", [(-5.0, "t_max must be positive"),
+                                            (0.0, "t_max must be positive"),
+                                            (1e-4, "shorter than one sample spacing")])
+def test_quadrature_trace_without_samples_is_a_validation_error(tmp_path, capsys,
+                                                                t_max, message):
+    cfg = dict(TRIANGLE_CONFIG, schedule={"t_max": t_max, "n_samples": 100,
+                                          "kind": "linear"})
+    path = _write_config(tmp_path, cfg)
+    assert main(["trace", "--config", path, "--engine", "quadrature"]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("quadrature_step", "1e-3", "quadrature_step must be a finite number, got '1e-3'"),
+    ("series_n_max", True, "series_n_max must be an integer, got True"),
+    ("grid", 8.0, "grid must be an integer, got 8.0"),
+    ("schedule", {"t_max": "50", "n_samples": 10}, "schedule.t_max must be a finite number"),
+    ("schedule", {"t_max": 50.0, "n_samples": 10.0}, "schedule.n_samples must be an integer"),
+])
+def test_config_numbers_are_type_checked(tmp_path, capsys, field, value, message):
+    path = _write_config(tmp_path, dict(TRIANGLE_CONFIG, **{field: value}))
+    assert main(["compute", "--config", path, "--engine", "quadrature"]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err

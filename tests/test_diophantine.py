@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusflow.algebraic import DEFAULT_FIXED_SCALE, AlgebraicValue, parse_literal
 from torusflow.diophantine import (
@@ -346,6 +349,25 @@ def test_series_head_reports_first_unresolved_term():
         diophantine_series(value, 100, prec_bits=192, cf=cf)
     assert str(got.value) == str(want.value) == (
         "||3*alpha|| indistinguishable from 0 at scale 192")
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 19]), b=st.integers(1, 6),
+       c=st.integers(2, 40), j=st.integers(0, 10 ** 6), n_max=st.integers(1, 3000),
+       bits=st.sampled_from([192, 256, 320]))
+def test_series_head_matches_loop_on_random_surds(d, b, c, j, n_max, bits):
+    """(a + b sqrt(d)) / c in (0, 1): a + b sqrt(d) = frac(b sqrt(d)) + j % c.
+    The expansion comes from 1024 bits, so only the head depends on bits."""
+    value = parse_literal(f"({j % c - math.isqrt(b * b * d)} + {b}*sqrt({d})) / {c}")
+    cf = continued_fraction(value, 24, prec_bits=1024)
+    try:
+        want = _reference_series_head(value, n_max, bits)
+    except PrecisionExhaustedError as exc:
+        with pytest.raises(PrecisionExhaustedError, match=re.escape(str(exc))):
+            diophantine_series(value, n_max, prec_bits=bits, cf=cf)
+        return
+    got = diophantine_series(value, n_max, prec_bits=bits, cf=cf)
+    assert (got.partial_sum.hex(), got.partial_sum_digits) == (want[0].hex(), want[1])
 
 
 def _reference_exponent_scan(alpha1, n_max, eta, scale_bits=DEFAULT_FIXED_SCALE):

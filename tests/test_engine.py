@@ -240,9 +240,12 @@ def test_quadrature_matches_reference_on_tangent_body():
 
 
 def test_quadrature_profile_edge_cases(triangle_instance):
-    empty = quadrature_delta_profile(triangle_instance, 0.1, 1e-3, sample_every=1000)
-    assert empty.times.shape == empty.deltas.shape == (0,)
-    _assert_profile_matches(triangle_instance, 0.1, 1e-3, 1000)
+    with pytest.raises(ValidationError, match="shorter than one sample spacing"):
+        quadrature_delta_profile(triangle_instance, 0.1, 1e-3, sample_every=1000)
+    for t_max in (0.0, -5.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="t_max must be positive"):
+            quadrature_delta_profile(triangle_instance, t_max, 1e-3)
+    _assert_profile_matches(triangle_instance, 1.0, 1e-3, 1000)
     _assert_profile_matches(triangle_instance, 3.0, 1e-3, 1)
     _assert_profile_matches(triangle_instance, 3.0, 1e-3, 3000)
 
