@@ -221,14 +221,13 @@ def _block_bound(q_l: int, delta_lo: float, n_min: int) -> float:
 
 
 def diophantine_series(alpha1, n_max: int, prec_bits: int | None = None,
-                       quotient_cap: int | None = None,
                        cf: ContinuedFraction | None = None) -> SeriesBound:
     """Partial sum of sum_{n=1}^{n_max} 1/(n^2 ||n alpha1||) with tail bound.
 
     Rational alpha1 is rejected: some ||n alpha1|| vanishes and the series
     diverges.  The tail bound beyond the computed continued-fraction depth
-    assumes partial quotients stay below ``quotient_cap`` (default: the
-    largest quotient observed); the assumption is recorded in the result.
+    assumes partial quotients stay below the largest quotient observed (at
+    least 2); the assumption is recorded in the result as ``quotient_cap``.
 
     The head is summed in integers: with ||n alpha|| = d_n / 2**scale for
     the rounded alpha, the floors of 2**(scale+k) / (n^2 d_n) sum to s and
@@ -246,17 +245,16 @@ def diophantine_series(alpha1, n_max: int, prec_bits: int | None = None,
 
     if cf is None:
         # grow the expansion until the last denominator comfortably clears
-        # n_max; deeper is better because less weight rests on the assumed cap
-        depth = 32
-        cf = continued_fraction(value, depth, prec_bits=bits)
-        target = max(n_max, 10 ** 6) ** 2
-        while cf.q(cf.depth) <= target:
-            depth *= 2
+        # n_max; deeper is better because less weight rests on the assumed cap.
+        # Where the precision runs out first, keep the deepest expansion it decides.
+        depth, target = 32, max(n_max, 10 ** 6) ** 2
+        while cf is None or cf.q(cf.depth) <= target:
             try:
                 cf = continued_fraction(value, depth, prec_bits=bits)
             except PrecisionExhaustedError:
                 cf = _deepest_expansion(value, bits, depth)
                 break
+            depth *= 2
     if cf.q(cf.depth) <= n_max:
         raise TailNotCertifiableError(
             f"continued fraction reaches only q={cf.q(cf.depth)} <= n_max={n_max}"
@@ -284,7 +282,7 @@ def diophantine_series(alpha1, n_max: int, prec_bits: int | None = None,
     (partial_sum, digits, _), = ends
 
     # blockwise tail over computed convergents
-    cap = quotient_cap if quotient_cap is not None else max(2, cf.max_quotient)
+    cap = max(2, cf.max_quotient)
     qs = cf.denominators
     ell0 = max(ell for ell in range(len(qs)) if qs[ell] <= n_max)
     tail = 0.0

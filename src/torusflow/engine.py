@@ -21,7 +21,6 @@ from .algebraic import (
     DEFAULT_FIXED_SCALE,
     AlgebraicValue,
     frac_orbit_floats,
-    frac_point,
 )
 from .errors import TransversalityError, ValidationError
 from .geometry import (
@@ -176,12 +175,6 @@ class FlowInstance:
         ]
         return np.stack(cols, axis=1)
 
-    def orbit_point(self, k: int) -> np.ndarray:
-        return np.array([
-            frac_point(self.alpha_fixed[i], self.scale_bits, k, self.x0_fixed[i])
-            for i in range(self.d - 1)
-        ])
-
     def section_values(self, xs: np.ndarray) -> np.ndarray:
         if self.section is not None:
             return self.section(xs[:, 0] if xs.ndim == 2 else xs)
@@ -193,45 +186,63 @@ class FlowInstance:
 # ---------------------------------------------------------------------------
 
 
-def _window_decomposition(t_end: float):
-    """Split lifted time [s_d, s_d + T] at integers, snapping fuzz away."""
-    k = math.floor(t_end)
-    frac = t_end - k
-    if frac < _INT_SNAP:
-        frac = 0.0
-    elif frac > 1.0 - _INT_SNAP:
-        k += 1
-        frac = 0.0
-    return k, frac
+def _check_times(times) -> np.ndarray:
+    """``times`` as a float array, after rejecting any that is negative or
+    not finite."""
+    times = np.asarray(times, dtype=np.float64)
+    bad = times[~((times >= 0) & (times < math.inf))]
+    if bad.size:
+        raise ValidationError(f"time must be finite and non-negative, got {float(bad[0])!r}")
+    return times
+
+
+def _exact_deltas(inst: FlowInstance, times) -> np.ndarray:
+    """Delta_t for every t of ``times`` (any order, repeats allowed).
+
+    Lifted time [s_d, s_d + t] splits at integers into a first partial
+    window from s_d, full unit windows 1 .. k - 1 and a last partial window
+    [0, theta] at orbit point x_k; ends within _INT_SNAP of an integer snap
+    to it.  All partial windows are clipped in one ``lengths`` call, and
+    each run of full windows between consecutive distinct k is summed once
+    into a running total.  A sample's parts are joined with one fsum, so a
+    single time gets the same sums as a direct evaluation.
+    """
+    times = _check_times(times)
+    inst.require_exact_capable()
+    t_norm = times * inst.time_scale
+    lam = inst.polytope.volume
+    s_d = inst.s_last
+
+    end = t_norm + s_d
+    k = np.floor(end)
+    theta = end - k
+    up = theta > 1.0 - _INT_SNAP
+    k[up] += 1
+    theta[up | (theta < _INT_SNAP)] = 0.0
+    xs = inst.orbit_matrix(0, int(k.max(initial=0)) + 1)
+    k = k.astype(np.int64)
+    first = k == 0
+
+    clip = inst.evaluator.lengths(xs[np.concatenate(([0], k))],
+                                  np.concatenate(([s_d], np.where(first, s_d, 0.0))),
+                                  np.concatenate(([1.0], np.where(first, end, theta))))
+    head = np.where(first, 0.0, clip[0] - (1.0 - s_d) * lam)
+    last = clip[1:] - np.where(first, t_norm, theta) * lam
+
+    full = inst.section_values(xs[1:-1]) - lam  # windows 1 .. k_max - 1
+    runs, run_of = np.unique(k, return_inverse=True)
+    edges = np.concatenate(([0], np.maximum(runs, 1) - 1)).tolist()
+    # np.add.reduce is what np.sum runs, without its Python wrapper
+    sums = np.cumsum([np.add.reduce(full[a:b]) for a, b in zip(edges, edges[1:])])
+    parts = zip(head.tolist(), sums[run_of].tolist(), last.tolist())
+    deltas = np.array([math.fsum(p) for p in parts]) / inst.time_scale
+    deltas[times == 0] = 0.0  # even where a start within _INT_SNAP of 1 snaps a window
+    return deltas
 
 
 def delta_T_exact(inst: FlowInstance, t: float) -> float:
     """Time integral of the indicator along the flow minus t * volume."""
-    if t < 0:
-        raise ValidationError("negative time")
-    inst.require_exact_capable()
-    if t == 0:
-        return 0.0
-    t_norm = t * inst.time_scale
-    lam = inst.polytope.volume
-    s_d = inst.s_last
-    ev = inst.evaluator
-
-    x0 = inst.orbit_point(0)
-    k_end, theta = _window_decomposition(t_norm + s_d)
-    if k_end == 0:
-        value = ev.length(x0, s_d, s_d + t_norm) - t_norm * lam
-        return value / inst.time_scale
-
-    parts = [ev.length(x0, s_d, 1.0) - (1.0 - s_d) * lam]
-    if k_end >= 2:
-        xs = inst.orbit_matrix(1, k_end - 1)
-        f = inst.section_values(xs)
-        parts.append(float(np.sum(f - lam)))
-    if theta > 0.0:
-        xk = inst.orbit_point(k_end)
-        parts.append(ev.length(xk, 0.0, theta) - theta * lam)
-    return math.fsum(parts) / inst.time_scale
+    return float(_exact_deltas(inst, [t])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +297,7 @@ def delta_T_quadrature(inst: FlowInstance, t: float, step: float = 1e-3) -> Quad
     step * (crossings/2 + 2), counting observed boundary crossings.
     """
     _check_step(step)
-    if t <= 0:
+    if _check_times(t) == 0:
         return QuadratureEstimate(0.0, 0.0, 0, step)
     t_norm = t * inst.time_scale
     n = max(1, int(math.ceil(t_norm / step)))
@@ -326,12 +337,7 @@ def quadrature_delta_profile(inst: FlowInstance, t_max: float, step: float,
         "crossings": crossings,
         "t_max": t_max,
         "complement": False,  # kept so trace.meta.json stays byte-identical
-        "direction": inst.direction.literals(),
-        "start": [v.literal() for v in inst.s_values],
-        "volume": inst.polytope.volume,
-        "polytope_hash": inst.polytope_hash(),
-        "time_scale": inst.time_scale,
-        "permutation": list(inst.permutation) if inst.permutation else None,
+        **_instance_meta(inst),
     }
     return DiscrepancyTrace(times=t_here / inst.time_scale,
                             deltas=deltas / inst.time_scale, meta=meta)
@@ -579,6 +585,18 @@ def box_discrepancy_profile(direction, t_values, grid: int,
 # ---------------------------------------------------------------------------
 
 
+def _instance_meta(inst: FlowInstance) -> dict:
+    """The trace metadata that describes the instance, shared by both engines."""
+    return {
+        "direction": inst.direction.literals(),
+        "start": [v.literal() for v in inst.s_values],
+        "volume": inst.polytope.volume,
+        "polytope_hash": inst.polytope_hash(),
+        "time_scale": inst.time_scale,
+        "permutation": list(inst.permutation) if inst.permutation else None,
+    }
+
+
 @dataclass(frozen=True)
 class DiscrepancyTrace:
     times: np.ndarray
@@ -618,54 +636,21 @@ def discrepancy_trace(inst: FlowInstance, t_max: float, n_samples: int = 1000,
                       schedule: str = "linear") -> DiscrepancyTrace:
     """Sampled discrepancy curve with O(t_max) total section work.
 
-    Full unit windows are accumulated once into prefix sums; each sample
-    only adds its two partial windows.
+    Every sample runs through the exact window kernel at once: each full
+    unit window is evaluated and summed once, and the partial windows of
+    all samples are clipped in one pass.
     """
     inst.require_exact_capable()
-    if t_max <= 0:
-        raise ValidationError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValidationError(f"t_max must be positive and finite, got {t_max!r}")
     times = _sample_times(t_max, n_samples, schedule)
-    lam = inst.polytope.volume
-    s_d = inst.s_last
-    ev = inst.evaluator
-
-    t_norm_max = t_max * inst.time_scale
-    k_max, _ = _window_decomposition(t_norm_max + s_d)
-    prefix = np.zeros(max(k_max, 1))
-    if k_max >= 2:
-        xs = inst.orbit_matrix(1, k_max - 1)
-        f = inst.section_values(xs)
-        prefix[1:k_max] = np.cumsum(f - lam)
-
-    x0 = inst.orbit_point(0)
-    first_full = ev.length(x0, s_d, 1.0) - (1.0 - s_d) * lam
-
-    deltas = np.empty(len(times))
-    for i, t in enumerate(times):
-        t_norm = t * inst.time_scale
-        k_end, theta = _window_decomposition(t_norm + s_d)
-        if k_end == 0:
-            deltas[i] = (ev.length(x0, s_d, s_d + t_norm) - t_norm * lam)
-        else:
-            val = first_full + prefix[min(k_end - 1, len(prefix) - 1)]
-            if theta > 0.0:
-                xk = inst.orbit_point(k_end)
-                val += ev.length(xk, 0.0, theta) - theta * lam
-            deltas[i] = val
-        deltas[i] /= inst.time_scale
-
     meta = {
         "engine": "exact",
         "err_bound": 0.0,
         "t_max": t_max,
         "n_samples": len(times),
         "schedule": schedule,
-        "direction": inst.direction.literals(),
-        "start": [v.literal() for v in inst.s_values],
-        "volume": lam,
-        "polytope_hash": inst.polytope_hash(),
         "scale_bits": inst.scale_bits,
-        "time_scale": inst.time_scale,
-        "permutation": list(inst.permutation) if inst.permutation else None,
+        **_instance_meta(inst),
     }
-    return DiscrepancyTrace(times=times, deltas=deltas, meta=meta)
+    return DiscrepancyTrace(times=times, deltas=_exact_deltas(inst, times), meta=meta)

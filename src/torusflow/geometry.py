@@ -240,12 +240,12 @@ class Polytope:
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
-    def validate(self, require_unit_cube: bool = True):
+    def validate(self):
         """Raise unless facets/vertices are mutually consistent.
 
         Checks: every vertex satisfies every facet to 1e-12, every facet
         touches at least d vertices, the vertex centroid has positive slack,
-        and (optionally) the body sits inside [0, 1]^d.
+        and the body sits inside [0, 1]^d.
         """
         d = self.d
         slack = self.offsets[None, :] - self.vertices @ self.normals.T
@@ -262,10 +262,9 @@ class Polytope:
             raise DegeneratePolytopeError(
                 f"no interior: centroid slack {c_slack.min():.3e}"
             )
-        if require_unit_cube:
-            lo, hi = self.bbox()
-            if lo.min() < -1e-12 or hi.max() > 1 + 1e-12:
-                raise ValidationError("polytope is not contained in the unit cube")
+        lo, hi = self.bbox()
+        if lo.min() < -1e-12 or hi.max() > 1 + 1e-12:
+            raise ValidationError("polytope is not contained in the unit cube")
         if self.volume <= 0:
             raise DegeneratePolytopeError("volume is not positive")
 
@@ -404,12 +403,10 @@ class SectionEvaluator:
     """Clips lifted unit-time segments g_x(t) = (x + t*alpha_star, t) against
     the integer translates of the polytope that such segments can reach.
 
-    The translate list is pruned with a bounding-box sweep test; pass
-    ``prune=False`` to keep the full cube of candidates (used to validate
-    the pruning).
+    The translate list is pruned with a bounding-box sweep test.
     """
 
-    def __init__(self, p: Polytope, direction: Direction, prune: bool = True):
+    def __init__(self, p: Polytope, direction: Direction):
         direction.require_normalized()
         self.polytope = p
         self.direction = direction
@@ -429,9 +426,8 @@ class SectionEvaluator:
         rng = range(-self.m_reach, self.m_reach + 1)
         for eps in itertools.product(rng, repeat=d):
             e = np.array(eps, dtype=np.float64)
-            if prune:
-                if np.any(bhi + e < sweep_lo - 1e-9) or np.any(blo + e > sweep_hi + 1e-9):
-                    continue
+            if np.any(bhi + e < sweep_lo - 1e-9) or np.any(blo + e > sweep_hi + 1e-9):
+                continue
             translates.append(e)
         self.translates = np.array(translates)
 
@@ -446,8 +442,10 @@ class SectionEvaluator:
         pt = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(1, -1)
         return float(self.lengths(pt, t0, t1)[0])
 
-    def lengths(self, xs: np.ndarray, t0: float = 0.0, t1: float = 1.0) -> np.ndarray:
-        """Vectorized segment lengths for points xs of shape (n, d-1).
+    def lengths(self, xs: np.ndarray, t0=0.0, t1=1.0) -> np.ndarray:
+        """Vectorized segment lengths for points xs of shape (n, d-1), each
+        segment clipped to times [t0, t1].  t0 and t1 may also be arrays of
+        shape (n,), one window per row: they are broadcast through np.full.
 
         A 1-dimensional array is taken as n scalar points (valid when the
         body is planar); higher-dimensional sections need explicit rows.
@@ -457,7 +455,11 @@ class SectionEvaluator:
             if self.polytope.d != 2:
                 raise ValidationError("1-d point array is ambiguous for d > 2 sections")
             xs = xs[:, None]
-        proj = xs @ self.normals_star.T  # (n, m)
+        # <nu*, x> per facet, summed in axis order: BLAS rounds one row and a
+        # batch of rows differently, and a row must not depend on its batch
+        cols = xs.T
+        proj = [sum((c * v for c, v in zip(cols[1:], nu[1:])), cols[0] * nu[0])
+                for nu in self.normals_star]
         n = len(xs)
         total = np.zeros(n)
         for e_idx in range(len(self.translates)):
@@ -466,7 +468,7 @@ class SectionEvaluator:
             rhs_row = self.offsets_by_translate[e_idx]
             for f in range(len(self.facet_b)):
                 b = self.facet_b[f]
-                r = rhs_row[f] - proj[:, f]
+                r = rhs_row[f] - proj[f]
                 if abs(b) <= _FEAS_TOL:
                     # facet parallel to the flow: feasibility decided by offset sign
                     infeasible = r < 0
@@ -588,8 +590,7 @@ def _clip_with_slope(evaluator: SectionEvaluator, x: float):
     return value, slope
 
 
-def build_piecewise_linear_section(p: Polytope, direction: Direction,
-                                   tol_bp: float = BREAKPOINT_TOL) -> SectionFunction2D:
+def build_piecewise_linear_section(p: Polytope, direction: Direction) -> SectionFunction2D:
     """Exact piecewise-linear section of a planar polytope.
 
     Breakpoints are the projections of the vertices of the body and of its
@@ -614,12 +615,12 @@ def build_piecewise_linear_section(p: Polytope, direction: Direction,
         raw.append(proj + 1.0)
     pts = [0.0, 1.0]
     for t in raw:
-        if -tol_bp <= t <= 1.0 + tol_bp:
+        if -BREAKPOINT_TOL <= t <= 1.0 + BREAKPOINT_TOL:
             pts.append(min(max(t, 0.0), 1.0))
     pts.sort()
     bps = [pts[0]]
     for t in pts[1:]:
-        if t - bps[-1] > tol_bp:
+        if t - bps[-1] > BREAKPOINT_TOL:
             bps.append(t)
     if bps[-1] != 1.0:
         bps[-1] = 1.0

@@ -300,6 +300,16 @@ def test_bad_quadrature_step_is_a_validation_error(tmp_path, capsys, command, st
     assert "quadrature step must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("engine", ["exact", "quadrature"])
+def test_negative_compute_time_is_a_validation_error(tmp_path, capsys, engine):
+    cfg = dict(TRIANGLE_CONFIG, schedule={"t_max": -5.0, "n_samples": 100, "kind": "linear"})
+    path = _write_config(tmp_path, cfg)
+    assert main(["compute", "--config", path, "--engine", engine]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "time must be finite and non-negative, got -5.0" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("n_samples", [0, -5])
 @pytest.mark.parametrize("kind", ["linear", "geometric", "integer"])
 def test_bad_sample_count_is_a_validation_error(tmp_path, capsys, kind, n_samples):

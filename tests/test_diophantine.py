@@ -338,6 +338,25 @@ def test_series_head_matches_loop(literal, n_max, bits):
     assert got.partial_sum_digits == want_digits
 
 
+@pytest.mark.parametrize("literal, n_max", [
+    ("(20 + 3*sqrt(11))/30", 446),
+    ("(14 + 2*sqrt(5))/19", 1000),
+    ("(4 + 2*sqrt(6))/9", 1000),
+])
+def test_series_falls_back_to_the_deepest_first_expansion(literal, n_max):
+    """A depth-32 expansion is undecided at 192 bits for these surds; the
+    series keeps the deepest expansion 192 bits decide, as it does for its
+    later doublings."""
+    value = parse_literal(literal)
+    with pytest.raises(PrecisionExhaustedError, match="undecided at 192 bits"):
+        continued_fraction(value, 32, prec_bits=192)
+    got = diophantine_series(value, n_max, prec_bits=192)
+    assert 1 <= got.depth_used < 32
+    want_sum, want_digits = _reference_series_head(value, n_max, 192)
+    assert (got.partial_sum.hex(), got.partial_sum_digits) == (want_sum.hex(), want_digits)
+    assert 0 < got.tail_bound < math.inf
+
+
 def test_series_head_reports_first_unresolved_term():
     """||3 alpha|| is about 4e-60 here, below the 2n/2**192 resolution of
     the head; the expansion comes from 400 bits so the tail is certifiable."""

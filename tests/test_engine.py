@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from torusflow.algebraic import AlgebraicValue, frac_orbit_floats, parse_literal
+from torusflow.algebraic import AlgebraicValue, frac_orbit_floats, frac_point, parse_literal
 from torusflow.engine import (
     FlowInstance,
+    QuadratureEstimate,
     _BoxSweep2D,
+    _INT_SNAP,
+    _exact_deltas,
     box_discrepancy_profile,
     box_discrepancy_sup,
     delta_T_exact,
@@ -99,6 +102,190 @@ def test_flow_cocycle(triangle_instance, silver_direction, triangle, rng):
         rhs = (delta_T_exact(triangle_instance, float(t))
                + delta_T_exact(shifted, float(u)))
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+
+# -- the exact window kernel against the two evaluations it replaced ---------
+
+
+def _reference_point(inst, k):
+    return np.array([frac_point(inst.alpha_fixed[i], inst.scale_bits, k, inst.x0_fixed[i])
+                     for i in range(inst.d - 1)])
+
+
+def _reference_split(t_end):
+    k = math.floor(t_end)
+    frac = t_end - k
+    if frac < _INT_SNAP:
+        frac = 0.0
+    elif frac > 1.0 - _INT_SNAP:
+        k += 1
+        frac = 0.0
+    return k, frac
+
+
+def _reference_exact(inst, t):
+    """The evaluation delta_T_exact used to run, one time at a time."""
+    if t == 0:
+        return 0.0
+    t_norm = t * inst.time_scale
+    lam = inst.polytope.volume
+    s_d = inst.s_last
+    ev = inst.evaluator
+    x0 = _reference_point(inst, 0)
+    k_end, theta = _reference_split(t_norm + s_d)
+    if k_end == 0:
+        return (ev.length(x0, s_d, s_d + t_norm) - t_norm * lam) / inst.time_scale
+    parts = [ev.length(x0, s_d, 1.0) - (1.0 - s_d) * lam]
+    if k_end >= 2:
+        f = inst.section_values(inst.orbit_matrix(1, k_end - 1))
+        parts.append(float(np.sum(f - lam)))
+    if theta > 0.0:
+        parts.append(ev.length(_reference_point(inst, k_end), 0.0, theta) - theta * lam)
+    return math.fsum(parts) / inst.time_scale
+
+
+def _reference_trace(inst, times):
+    """The per-sample loop discrepancy_trace used to run: the full windows
+    as one running cumsum, each sample adding its two partial windows."""
+    lam = inst.polytope.volume
+    s_d = inst.s_last
+    ev = inst.evaluator
+    k_max, _ = _reference_split(float(np.max(times)) * inst.time_scale + s_d)
+    prefix = np.zeros(max(k_max, 1))
+    if k_max >= 2:
+        prefix[1:k_max] = np.cumsum(inst.section_values(inst.orbit_matrix(1, k_max - 1)) - lam)
+    x0 = _reference_point(inst, 0)
+    first_full = ev.length(x0, s_d, 1.0) - (1.0 - s_d) * lam
+    deltas = np.empty(len(times))
+    for i, t in enumerate(times):
+        t_norm = t * inst.time_scale
+        k_end, theta = _reference_split(t_norm + s_d)
+        if k_end == 0:
+            deltas[i] = ev.length(x0, s_d, s_d + t_norm) - t_norm * lam
+        else:
+            val = first_full + prefix[min(k_end - 1, len(prefix) - 1)]
+            if theta > 0.0:
+                val += ev.length(_reference_point(inst, k_end), 0.0, theta) - theta * lam
+            deltas[i] = val
+        deltas[i] /= inst.time_scale
+    return deltas
+
+
+def _trace_tol(inst, t):
+    """Allowance between two summation orders of the same window terms.
+
+    In normalized time a sample at t sums at most n = t*time_scale + 3
+    terms: the full windows f(x_j) - lam and the two partial windows, each
+    of size at most 1 because a unit window holds at most unit time in the
+    body.  Any order of summing n terms is within gamma_{n-1} = (n-1)u /
+    (1 - (n-1)u) times the sum of their sizes of the exact sum (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 4.4), so
+    two orders differ by at most 2 * gamma_n * n, below n**2 * eps * 1.01
+    with u = eps / 2; the division by time_scale only shrinks it.  Twice
+    that covers the final rounding of each.
+    """
+    n = np.asarray(t) * inst.time_scale + 3.0
+    return 2.0 * n * n * np.finfo(float).eps / inst.time_scale
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+def _kernel_instances(tetra3, box3_direction):
+    """2d polygons under a normalized surd direction with rational starts,
+    a non-normalized direction whose dominant axis comes first, the tetra3
+    body and a 3d box."""
+    rng = np.random.default_rng(20261018)
+    silver = Direction.make([parse_literal("sqrt(2) - 1"), parse_literal("1")])
+    out = [FlowInstance.build(silver, (parse_literal("1/3"), parse_literal("2/7")),
+                              random_polygon(rng, n)) for n in (3, 5, 7)]
+    out.append(FlowInstance.build([parse_literal("sqrt(3)"), parse_literal("1/2")],
+                                  (parse_literal("1/5"), parse_literal("3/4")),
+                                  random_polygon(rng, 4)))
+    out.append(FlowInstance.build(box3_direction, (ZERO, parse_literal("1/9"),
+                                                   parse_literal("5/11")), tetra3))
+    out.append(FlowInstance.build(box3_direction, (ZERO, ZERO, ZERO),
+                                  Polytope.box((0.1, 0.2, 0.3), (0.6, 0.5, 0.9))))
+    return out
+
+
+def _kernel_times(inst):
+    """Times whose window ends land in the first window, on exact integers,
+    and just inside and just outside _INT_SNAP of an integer on both sides."""
+    s_d, scale = inst.s_last, inst.time_scale
+    ends = [s_d + 0.25, 0.999, 1.0, 2.0, 17.0, 17.5, 230.25]
+    for n in (1.0, 5.0, 64.0):
+        ends += [n - 0.5 * _INT_SNAP, n + 0.5 * _INT_SNAP, n - 4 * _INT_SNAP, n + 4 * _INT_SNAP]
+    times = [(e - s_d) / scale for e in ends if e > s_d]
+    return times + [0.0, 3.0, 40.0, 1e-9, (1.0 - s_d) / scale]
+
+
+def test_exact_kernel_is_hex_identical_to_the_reference(tetra3, box3_direction):
+    for inst in _kernel_instances(tetra3, box3_direction):
+        for t in _kernel_times(inst):
+            assert _hex(delta_T_exact(inst, t)) == _hex(_reference_exact(inst, t)), t
+
+
+def test_exact_kernel_on_unsorted_repeated_times(triangle_instance):
+    """Order and repeats do not change a sample; samples in windows 0, 1 and
+    one later window match per-time calls bit for bit."""
+    inst = triangle_instance
+    times = np.array([17.25, 0.5, 1.75, 17.25, 0.0, 17.5, 0.5, 1.0])
+    got = _exact_deltas(inst, times)
+    assert _hex(got) == _hex([delta_T_exact(inst, t) for t in times])
+    times = np.array([90.5, 3.25, 400.0, 3.25, 90.5, 12.0, 400.0, 0.0])
+    uniq, where = np.unique(times, return_inverse=True)
+    assert _hex(_exact_deltas(inst, times)) == _hex(_exact_deltas(inst, uniq)[where])
+
+
+@pytest.mark.parametrize("schedule", ["linear", "geometric", "integer"])
+def test_trace_matches_reference_loop(tetra3, box3_direction, schedule):
+    for inst in _kernel_instances(tetra3, box3_direction):
+        trace = discrepancy_trace(inst, 1500.0, n_samples=300, schedule=schedule)
+        want = _reference_trace(inst, trace.times)
+        assert np.all(np.abs(trace.deltas - want) <= _trace_tol(inst, trace.times))
+
+
+@st.composite
+def _surd_trace_problem(draw):
+    """A surd direction (normalized or not), a rational start, a random
+    polygon's seed and size, and a trace length and schedule."""
+    a = draw(st.integers(-4, 4))
+    b = draw(st.integers(1, 3)) * draw(st.sampled_from([-1, 1]))
+    root = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    c = draw(st.integers(1, 6))
+    last = draw(st.sampled_from(["1", "1", "2/3", "-5/4"]))
+    start = [f"{draw(st.integers(0, 12))}/{draw(st.integers(13, 20))}" for _ in range(2)]
+    return ([f"({a} + {b} * sqrt({root})) / {c}", last], start,
+            draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(3, 7)),
+            draw(st.floats(0.5, 300.0)), draw(st.sampled_from(["linear", "geometric", "integer"])))
+
+
+@given(_surd_trace_problem())
+def test_trace_samples_equal_pointwise_exact(problem):
+    direction, start, seed, corners, t_max, schedule = problem
+    poly = random_polygon(np.random.default_rng(seed), corners)
+    inst = FlowInstance.build([parse_literal(v) for v in direction],
+                              [parse_literal(v) for v in start], poly)
+    trace = discrepancy_trace(inst, t_max, n_samples=6, schedule=schedule)
+    singles = np.array([delta_T_exact(inst, t) for t in trace.times])
+    assert np.all(np.abs(trace.deltas - singles) <= _trace_tol(inst, trace.times))
+
+
+@pytest.mark.parametrize("t", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")])
+def test_bad_times_are_rejected(triangle_instance, t):
+    with pytest.raises(ValidationError, match="time must be finite and non-negative"):
+        delta_T_exact(triangle_instance, t)
+    with pytest.raises(ValidationError, match="time must be finite and non-negative"):
+        delta_T_quadrature(triangle_instance, t)
+    with pytest.raises(ValidationError, match="t_max must be positive and finite"):
+        discrepancy_trace(triangle_instance, t)
+
+
+def test_quadrature_at_time_zero(triangle_instance):
+    assert delta_T_quadrature(triangle_instance, 0.0, step=1e-3) == \
+        QuadratureEstimate(0.0, 0.0, 0, 1e-3)
 
 
 def test_quadrature_error_bound_is_honest(rng):
@@ -535,7 +722,7 @@ def test_orbit_accessors(triangle_instance):
     mat = triangle_instance.orbit_matrix(0, 6)
     assert mat.shape == (6, 1)
     for k in range(6):
-        np.testing.assert_allclose(mat[k], triangle_instance.orbit_point(k), atol=0)
+        np.testing.assert_array_equal(mat[k], _reference_point(triangle_instance, k))
     vals = triangle_instance.section_values(mat)
     assert vals.shape == (6,)
     assert np.all((vals >= 0) & (vals <= 1))
