@@ -181,8 +181,8 @@ def _trace_tol(inst, t):
     (1 - (n-1)u) times the sum of their sizes of the exact sum (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 4.4), so
     two orders differ by at most 2 * gamma_n * n, below n**2 * eps * 1.01
-    with u = eps / 2; the division by time_scale only shrinks it.  Twice
-    that covers the final rounding of each.
+    with u = eps / 2.  Both results are divided by time_scale, and so is
+    the allowance; twice it covers the final roundings of each.
     """
     n = np.asarray(t) * inst.time_scale + 3.0
     return 2.0 * n * n * np.finfo(float).eps / inst.time_scale
