@@ -448,11 +448,16 @@ def _cmd_audit(cfg: ExperimentConfig) -> int:
     acfg = cfg.audit or {}
     gamma = float(acfg.get("gamma", 0.5))
     n_scan = int(acfg.get("scan_n_max", 2000))
-    alpha_vals = [AlgebraicValue.parse(a) for a in cfg.direction]
-    # the audit lives on the rotation lattice: drop the normalized last
-    # coordinate, and use d-2 coordinate forms unless the config says else
-    alpha_star = alpha_vals[:-1] if len(alpha_vals) >= 2 else alpha_vals
+    alpha_star = [AlgebraicValue.parse(a) for a in cfg.direction]
+    if len(alpha_star) >= 2:
+        # the audit lives on the rotation lattice: normalize as a flow
+        # instance does and drop the last coordinate, which is then 1
+        direction = Direction.make(alpha_star)
+        if not direction.normalized:
+            direction = direction.normalize()[0]
+        alpha_star = list(direction.values[:-1])
     dim = len(alpha_star)
+    # d-2 coordinate forms unless the config says else
     forms = acfg.get("forms")
     form_vecs = ([np.asarray(f, dtype=np.float64) for f in forms]
                  if forms is not None

@@ -202,6 +202,7 @@ class SeriesBound:
     scale_bits: int
     partial_sum_digits: str
 
+
 def _zeta2_from(i0: int) -> float:
     """Upper bound on sum_{i >= i0} 1/i^2."""
     if i0 <= 1:
@@ -478,6 +479,8 @@ class DyadicBlock:
 
 
 def block_capacity(c: float, gamma: float, ell: int, ell_ks: tuple[int, ...]) -> int:
+    if not 0 < c < math.inf:
+        raise ValidationError(f"block capacity needs a positive finite fitted c, got {c!r}")
     log2_h = sum(lk + 2 for lk in ell_ks) + gamma * (ell + 2) - math.log2(c)
     return math.ceil(2.0 ** log2_h)
 

@@ -42,22 +42,14 @@ def _normalize_problem(direction: Direction, s_vals, polytope: Polytope):
     time scale a (original Delta_T equals transformed Delta_{aT} / a), and
     the permutation applied.
     """
-    alpha_f = direction.floats()
-    d = len(alpha_f)
-    j = int(np.argmax(np.abs(alpha_f)))
-    if abs(alpha_f[j]) < 1e-15:
-        raise ValidationError("direction is (numerically) zero")
-
-    perm = [k for k in range(d) if k != j] + [j]
-    values = [direction.values[k] for k in perm]
+    new_dir, perm, scale = direction.normalize()
     s_list = [s_vals[k] for k in perm]
-    verts = polytope.vertices[:, perm]
-    normals = polytope.normals[:, perm]
+    verts = polytope.vertices[:, list(perm)]
+    normals = polytope.normals[:, list(perm)]
     offsets = polytope.offsets.copy()
 
-    if alpha_f[j] < 0:
+    if direction.floats()[perm[-1]] < 0:
         # reflect the last axis: x -> 1 - x keeps the unit cube invariant
-        values[-1] = -values[-1]
         s_list[-1] = AlgebraicValue.from_rational(1) - s_list[-1]
         verts = verts.copy()
         verts[:, -1] = 1.0 - verts[:, -1]
@@ -65,11 +57,8 @@ def _normalize_problem(direction: Direction, s_vals, polytope: Polytope):
         normals = normals.copy()
         normals[:, -1] = -normals[:, -1]
 
-    scale = values[-1]
-    new_vals = tuple(v / scale for v in values[:-1]) + (AlgebraicValue.from_rational(1),)
-    new_dir = Direction(new_vals)
     new_poly = Polytope(verts, normals, offsets, polytope.volume)
-    return new_dir, tuple(s_list), new_poly, float(scale), tuple(perm)
+    return new_dir, tuple(s_list), new_poly, float(scale), perm
 
 
 @dataclass
@@ -231,9 +220,15 @@ def _exact_deltas(inst: FlowInstance, times) -> np.ndarray:
 
     full = inst.section_values(xs[1:-1]) - lam  # windows 1 .. k_max - 1
     runs, run_of = np.unique(k, return_inverse=True)
-    edges = np.concatenate(([0], np.maximum(runs, 1) - 1)).tolist()
+    edges = np.concatenate(([0], np.maximum(runs, 1) - 1))
+    size = np.diff(edges)
+    sums = np.zeros(len(runs))  # an empty run sums to 0.0
+    sums[size == 1] = full[edges[:-1][size == 1]]  # what np.sum of one element returns
+    many = np.flatnonzero(size > 1)
     # np.add.reduce is what np.sum runs, without its Python wrapper
-    sums = np.cumsum([np.add.reduce(full[a:b]) for a, b in zip(edges, edges[1:])])
+    sums[many] = [np.add.reduce(full[a:b])
+                  for a, b in zip(edges[many].tolist(), edges[many + 1].tolist())]
+    sums = np.cumsum(sums)
     parts = zip(head.tolist(), sums[run_of].tolist(), last.tolist())
     deltas = np.array([math.fsum(p) for p in parts]) / inst.time_scale
     deltas[times == 0] = 0.0  # even where a start within _INT_SNAP of 1 snaps a window
@@ -263,38 +258,156 @@ def _check_step(step: float):
         raise ValidationError(f"quadrature step must be finite and positive, got {step!r}")
 
 
+# Midpoints decided per contains() call, and coordinate wraps per block of
+# midpoints: both bound the numpy temporaries of the counting kernel.
+_CHUNK = 1 << 18
+_BLOCK_WRAPS = 1 << 16
+
+
+def _joined_runs(starts: np.ndarray, ends: np.ndarray):
+    """Sorted disjoint runs [start, end], with runs that touch joined."""
+    new = np.ones(len(starts), dtype=bool)
+    new[1:] = starts[1:] > ends[:-1] + 1
+    last = np.ones(len(starts), dtype=bool)
+    last[:-1] = new[1:]
+    return starts[new], ends[last]
+
+
+def _walked_runs(poly: Polytope, alpha, s, h: float, lo: np.ndarray, hi: np.ndarray):
+    """Runs (starts, ends) of hits among the midpoints of the sorted,
+    disjoint index ranges lo..hi, each midpoint k decided by the walk's
+    float predicate contains(mod(s + ((k + 1/2) h) alpha, 1))."""
+    size = hi - lo + 1
+    stop = np.cumsum(size)
+    total = int(stop[-1]) if len(stop) else 0
+    runs = []
+    for c0 in range(0, total, _CHUNK):
+        pos = np.arange(c0, min(c0 + _CHUNK, total))
+        r = np.searchsorted(stop, pos, side="right")
+        k = lo[r] + pos - (stop[r] - size[r])
+        k = k[poly.contains(np.mod(s + ((k + 0.5) * h)[:, None] * alpha, 1.0))]
+        runs.append(_joined_runs(k, k))
+    return runs
+
+
+def _block_runs(poly: Polytope, alpha, s, h: float, k0: int, k1: int,
+                slack_tol: np.ndarray, coord_tol: np.ndarray):
+    """Runs (starts, ends) of hits among the midpoints k0 <= k < k1.
+
+    Cuts the time axis at every wrap of a coordinate.  A piece's interior
+    leaves out the band around each cut in which coordinate i is within
+    ``coord_tol[i]`` of the integer, where rounding may put the point on
+    either side of it.  On an interior the point is base + t alpha, so the
+    times at which every facet slack is at least +slack_tol, or at least
+    -slack_tol, are one interval each.  Midpoints in the first interval
+    are hits and midpoints outside the second are misses.  The rest, the
+    bands, and one index on each side of every such end are walked.
+    """
+    t0, t1 = k0 * h, k1 * h
+    cuts, bands = [], []
+    for i in np.flatnonzero(alpha):
+        lo, hi = sorted((s[i] + t0 * alpha[i], s[i] + t1 * alpha[i]))
+        j = np.arange(math.floor(lo) - 1, math.ceil(hi) + 2, dtype=np.float64)
+        cuts.append((j - s[i]) / alpha[i])
+        bands.append(np.full(len(j), coord_tol[i] / abs(alpha[i])))
+    order = np.argsort(np.concatenate(cuts))
+    cuts = np.concatenate(cuts)[order]
+    bands = np.concatenate(bands)[order]
+
+    def first(t):  # index of the first midpoint at or after t
+        return np.ceil(np.clip(t, t0 - h, t1 + h) / h - 0.5).astype(np.int64)
+
+    def last(t):  # index of the last midpoint at or before t
+        return np.floor(np.clip(t, t0 - h, t1 + h) / h - 0.5).astype(np.int64)
+
+    ka = np.maximum(first(cuts[:-1] + bands[:-1]) + 1, k0)
+    kb = np.minimum(last(cuts[1:] - bands[1:]) - 1, k1 - 1)
+    base = s - np.floor(s + 0.5 * (cuts[:-1] + cuts[1:])[:, None] * alpha)
+
+    def window(margin):  # times on each piece at which every slack >= margin
+        lo = np.full(len(base), -np.inf)
+        hi = np.full(len(base), np.inf)
+        for nu, c, m in zip(poly.normals, poly.offsets, margin):
+            r = (c - m) - base @ nu
+            b = float(nu @ alpha)
+            if b > 0:
+                np.minimum(hi, r / b, out=hi)
+            elif b < 0:
+                np.maximum(lo, r / b, out=lo)
+            else:
+                lo[r < 0] = np.inf
+        return lo, hi
+
+    in_lo, in_hi = window(slack_tol)
+    may_lo, may_hi = window(-slack_tol)
+    ca = np.maximum(first(in_lo) + 1, ka)
+    cb = np.minimum(last(in_hi) - 1, kb)
+    ma = np.maximum(first(may_lo) - 1, ka)
+    mb = np.minimum(last(may_hi) + 1, kb)
+    inside = ca <= cb
+    interior = ka <= kb  # the bands are what the interiors leave out
+    lo = np.concatenate(([k0], kb[interior] + 1, ma, np.where(inside, cb + 1, mb + 1)))
+    hi = np.concatenate((ka[interior] - 1, [k1 - 1], np.where(inside, ca - 1, mb), mb))
+    keep = lo <= hi
+    order = np.argsort(lo[keep])
+    return [(ca[inside], cb[inside])] + _walked_runs(poly, alpha, s, h, lo[keep][order],
+                                                     hi[keep][order])
+
+
 def _midpoint_hits(inst: FlowInstance, h: float, n: int, marks: np.ndarray):
     """Midpoint rule in normalized time: of the midpoints (k + 1/2) h, k < n,
     the number in the body among the first m, for each m of the ascending
     ``marks`` (each in 1..n), and the number of hit/miss flips between
-    neighbouring midpoints.  Walks fixed 2**18-point chunks, so memory does
-    not grow with the spacing of the marks.
+    neighbouring midpoints.
+
+    Counts midpoints per exact interval between coordinate wraps: between
+    two times at which a coordinate of s + t alpha crosses an integer the
+    point runs along one segment, so its time in the body is one interval,
+    clipped against all facets at once.  Each interval's midpoints are
+    counted as an index range.  The few midpoints that rounding could put
+    on either side of a range end or a wrap are decided by the float
+    predicate of a midpoint-by-midpoint walk, so every hit is the walk's
+    hit.  Work is O(wraps + marks), not O(n), and memory is bounded by
+    blocks of 2**16 wraps.
     """
     alpha = inst.direction.floats()
     s = np.array([float(v) for v in inst.s_values])
-    counts = np.empty(len(marks), dtype=np.int64)
-    total = crossings = 0
-    last = None
-    chunk = 1 << 18
-    for start in range(0, n, chunk):
-        t_mids = (np.arange(start, min(start + chunk, n), dtype=np.float64) + 0.5) * h
-        hit = inst.polytope.contains(np.mod(s + t_mids[:, None] * alpha, 1.0))
-        crossings += int(np.count_nonzero(hit[1:] != hit[:-1]))
-        if last is not None and hit[0] != last:
-            crossings += 1
-        last = hit[-1]
-        lo, hi = np.searchsorted(marks, [start, start + len(hit)], side="right")
-        if hi > lo:
-            counts[lo:hi] = total + np.cumsum(hit)[marks[lo:hi] - start - 1]
-        total += int(np.count_nonzero(hit))
+    poly = inst.polytope
+    # The walk's point is off in coordinate i by at most eps * reach[i], and
+    # a facet slack by (d + 1) eps sum_i |nu_i| reach[i]; the clip rounds
+    # within the same order.  8 (d + 1) eps covers both twice over.
+    reach = np.abs(s) + n * h * np.abs(alpha) + 2.0
+    tol = 8 * (len(alpha) + 1) * np.finfo(np.float64).eps
+    slack_tol = tol * (np.abs(poly.offsets) + np.abs(poly.normals) @ (2.0 * reach))
+    wraps_per_step = h * np.abs(alpha).sum()
+    if wraps_per_step > 0.25:  # a few midpoints per piece: walking them all is cheaper
+        runs = _walked_runs(poly, alpha, s, h, np.array([0]), np.array([n - 1]))
+    else:
+        width = max(1, int(_BLOCK_WRAPS / wraps_per_step))
+        runs = [run for k0 in range(0, n, width)
+                for run in _block_runs(poly, alpha, s, h, k0, min(k0 + width, n),
+                                       slack_tol, tol * reach)]
+    starts, ends = (np.concatenate(part) for part in zip(*runs))
+    order = np.argsort(starts)
+    starts, ends = _joined_runs(starts[order], ends[order])
+    done = np.concatenate(([0], np.cumsum(ends - starts + 1)))
+    j = np.searchsorted(starts, marks)  # runs that start below each mark
+    counts = done[j] - np.maximum(np.concatenate(([-1], ends))[j] + 1 - marks, 0)
+    crossings = 2 * len(starts)  # run ends, except at the first and last midpoint
+    if len(starts):
+        crossings -= int(starts[0] == 0) + int(ends[-1] == n - 1)
     return counts, crossings
 
 
 def delta_T_quadrature(inst: FlowInstance, t: float, step: float = 1e-3) -> QuadratureEstimate:
     """Midpoint-rule estimate of the discrepancy at time t.
 
+    The midpoints in the body are counted per exact interval between
+    coordinate wraps (``_midpoint_hits``), so the cost grows with the wraps,
+    not the midpoints, and every hit is that of a midpoint-by-midpoint walk.
     Works on non-transversal instances too.  The reported error bound is
-    step * (crossings/2 + 2), counting observed boundary crossings.
+    step * (crossings/2 + 2), counting hit/miss flips between neighbouring
+    midpoints.
     """
     _check_step(step)
     if _check_times(t) == 0:

@@ -35,6 +35,7 @@ from .geometry import (
     cot_angles,
 )
 
+
 @dataclass(frozen=True)
 class FourierCoefficient:
     n: tuple[int, ...]
@@ -379,7 +380,7 @@ def coefficients_3d(arr: Arrangement, ns) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# envelope fit and the heuristic 3-d majorant
+# envelope fit (3-d instances)
 # ---------------------------------------------------------------------------
 
 

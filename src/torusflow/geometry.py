@@ -66,6 +66,20 @@ class Direction:
     def literals(self) -> list[str]:
         return [v.literal() for v in self.values]
 
+    def normalize(self) -> tuple["Direction", tuple[int, ...], AlgebraicValue]:
+        """This direction with its dominant coordinate moved last and scaled
+        to 1: the new direction, the axis permutation applied, and the positive
+        factor every coordinate was divided by (the dominant coordinate, negated
+        if it was negative)."""
+        alpha_f = self.floats()
+        j = int(np.argmax(np.abs(alpha_f)))
+        if abs(alpha_f[j]) < 1e-15:
+            raise ValidationError("direction is (numerically) zero")
+        perm = tuple(k for k in range(self.d) if k != j) + (j,)
+        scale = -self.values[j] if alpha_f[j] < 0 else self.values[j]
+        values = tuple(self.values[k] / scale for k in perm[:-1])
+        return Direction(values + (AlgebraicValue.from_rational(1),)), perm, scale
+
     def require_normalized(self):
         if not self.normalized:
             raise ValidationError(

@@ -16,6 +16,7 @@ from torusflow.cli import (
     main,
     run_experiment,
 )
+from torusflow.diophantine import block_capacity
 from torusflow.errors import ValidationError
 
 TRIANGLE_CONFIG = {
@@ -261,6 +262,39 @@ def test_audit_command(tmp_path, capsys):
     assert main(["audit", "--config", _write_config(tmp_path, cfg)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS" in out and "violations 0" in out
+
+
+def _audit_output(tmp_path, capsys, direction):
+    cfg = {"name": "audit", "direction": direction, "start": ["0", "0"],
+           "polytope": {"unit_cube": 2},
+           "audit": {"gamma": 0.5, "scan_n_max": 500, "forms": [[1.0]],
+                     "levels": [[2, [2]], [3, [3]]]}}
+    code = main(["audit", "--config", _write_config(tmp_path, cfg)])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("direction, normalized", [
+    (["1", "sqrt(2)"], ["1/sqrt(2)", "1"]),
+    (["sqrt(2)", "sqrt(3)"], ["sqrt(2)/sqrt(3)", "1"]),
+    (["sqrt(3)", "-sqrt(2)"], ["-sqrt(2)/sqrt(3)", "1"]),
+])
+def test_audit_normalizes_the_direction(tmp_path, capsys, direction, normalized):
+    """The audit scans the rotation of the normalized flow, as every other
+    command does: ["1", "sqrt(2)"] used to scan alpha* = 1 and crash."""
+    code, out, _ = _audit_output(tmp_path, capsys, direction)
+    assert code == EXIT_OK and "audit: PASS" in out
+    assert (code, out) == _audit_output(tmp_path, capsys, normalized)[:2]
+
+
+def test_audit_of_a_rational_rotation_is_a_validation_error(tmp_path, capsys):
+    """alpha* = 1/2 fits c = 0, which leaves no block capacity."""
+    code, out, err = _audit_output(tmp_path, capsys, ["1/2", "1"])
+    assert code == EXIT_VALIDATION and "fitted c = 0 " in out
+    assert "block capacity needs a positive finite fitted c, got 0.0" in err
+    for c in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="positive finite fitted c"):
+            block_capacity(c, 0.5, 2, (2,))
 
 
 def test_run_experiment_quadrature_summary(tmp_path):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusflow.algebraic import AlgebraicValue, frac_orbit_floats, frac_point, parse_literal
@@ -454,6 +454,112 @@ def test_quadrature_counts_a_flip_on_a_chunk_edge(triangle_instance):
     _assert_profile_matches(inst, h * ((1 << 18) + 500), h, 1000)
     est = delta_T_quadrature(inst, h * ((1 << 18) + 500), step=h)
     assert est.crossings == _reference_quadrature(inst, h * ((1 << 18) + 500), h)[2]
+
+
+# -- the counting kernel against the walk, off the paths above ---------------
+
+
+def _assert_quadrature_matches(inst, t, step):
+    est = delta_T_quadrature(inst, t, step=step)
+    assert (est.value, est.error_bound, est.crossings, est.step) == \
+        _reference_quadrature(inst, t, step)
+    return est
+
+
+def _build(direction, start, poly):
+    return FlowInstance.build([parse_literal(v) for v in direction],
+                              [parse_literal(v) for v in start], poly)
+
+
+def test_counting_kernel_on_boxes_and_the_unit_cube(box3_direction):
+    """In the unit cube every midpoint hits and nothing flips; a 3d box
+    touching two cube faces, from a rational start."""
+    for d, start in ((2, ["1/3", "0"]), (3, ["0", "2/7", "5/9"])):
+        direction = ["sqrt(2) - 1", "sqrt(3) - 1", "1"][-d:]
+        cube = _build(direction, start, Polytope.unit_cube(d))
+        est = _assert_quadrature_matches(cube, 37.5, 1e-3)
+        assert est.crossings == 0 and est.value == 37.5 * 1e-3 / 1e-3 - 37.5
+        trace = _assert_profile_matches(cube, 20.0, 1e-3, 300)
+        assert not trace.deltas.any()
+    box = Polytope.box((0.0, 0.2, 0.3), (0.6, 1.0, 0.9))
+    inst = FlowInstance.build(box3_direction, [parse_literal(v) for v in ("1/7", "0", "2/9")],
+                              box)
+    assert _assert_quadrature_matches(inst, 40.0, 1e-3).crossings > 0
+    _assert_profile_matches(inst, 40.0, 1e-3, 250)
+
+
+@pytest.mark.parametrize("direction", [["-(sqrt(2) - 1)", "1"], ["sqrt(3)", "-sqrt(2)"],
+                                       ["1", "sqrt(2)"], ["sqrt(3)", "1/2"]])
+def test_counting_kernel_on_negative_and_scaled_directions(direction):
+    """A negative normalized coordinate, a reflected last axis and time
+    scales sqrt(2) and 2 sqrt(3), from rational starts."""
+    inst = _build(direction, ["2/9", "5/7"], Polytope.from_vertices(
+        [(0.15, 0.2), (0.85, 0.1), (0.7, 0.8), (0.2, 0.6)]))
+    assert (inst.time_scale != 1.0) == (direction[-1] != "1")
+    _assert_quadrature_matches(inst, 60.0, 1e-3)
+    _assert_profile_matches(inst, 60.0, 1e-3, 400)
+
+
+def test_counting_kernel_with_marks_far_apart(triangle_instance):
+    """Marks 2**18 + 777 midpoints apart, from a rational start."""
+    inst = _build(["sqrt(2) - 1", "1"], ["1/3", "2/7"],
+                  triangle_instance.polytope)
+    trace = _assert_profile_matches(inst, 800.0, 1e-3, (1 << 18) + 777)
+    assert len(trace.times) == 3
+
+
+def test_counting_kernel_walks_an_orbit_along_a_facet():
+    """The orbit runs exactly along a facet (start on x = 1/4, no motion in
+    x) or along a cube face that the body touches (x = 0): rounding decides
+    each midpoint there, so those pieces are walked midpoint by midpoint."""
+    body = Polytope.box((0.25, 0.1), (0.75, 0.6))
+    for start in (["1/4", "0"], ["3/4", "1/3"]):
+        inst = _build(["0", "1"], start, body)
+        assert _assert_quadrature_matches(inst, 30.0, 1e-3).crossings == 60
+    edge = _build(["0", "1"], ["0", "0"], Polytope.box((0.0, 0.1), (0.5, 0.6)))
+    _assert_quadrature_matches(edge, 30.0, 1e-3)
+    _assert_profile_matches(edge, 30.0, 1e-3, 500)
+
+
+@pytest.mark.parametrize("start, lo, hi, m", [
+    (["0", "0"], (0.25, 0.5), (0.75, 0.9), 999),
+    (["0", "0"], (0.25, 0.5), (0.75, 0.9), 4095),
+    (["0", "7/10"], (0.0, 0.5), (1.0, 1.0), 1665),
+])
+def test_counting_kernel_on_midpoints_that_land_on_facets(start, lo, hi, m):
+    """With direction (1/2, 1), start 0 and step 1/m for odd m, every
+    midpoint at a half-integer time lies on x = 1/4 or 3/4 and on y = 1/2 up
+    to rounding, so rounding decides it in the walk; the kernel must decide
+    it the same way.  From y = 7/10 with m = 1665, 40 midpoints are wraps of
+    y instead: rounding puts 16 of them at y = 1 - ulp, in the body, and 24
+    at y = 0, outside it."""
+    inst = _build(["1/2", "1"], start, Polytope.box(lo, hi))
+    _assert_quadrature_matches(inst, 40.0, 1.0 / m)
+    _assert_profile_matches(inst, 40.0, 40.0 / round(40.0 * m), 49)
+
+
+@st.composite
+def _quadrature_problem(draw):
+    """A surd direction (normalized or not), a rational start, a random
+    polygon's seed and size, a time and a step with at most 2e5 midpoints."""
+    a = draw(st.integers(-4, 4))
+    root = draw(st.sampled_from([2, 3, 5, 7]))
+    last = draw(st.sampled_from(["1", "1", "2/3", "-5/4"]))
+    start = [f"{draw(st.integers(0, 12))}/{draw(st.integers(13, 20))}" for _ in range(2)]
+    t = draw(st.floats(0.5, 40.0))
+    step = draw(st.floats(max(1e-4, t / 2e5), 0.5))
+    return ([f"({a} + sqrt({root})) / 5", last], start, draw(st.integers(0, 2 ** 32 - 1)),
+            draw(st.integers(3, 7)), t, step, draw(st.integers(1, 3000)))
+
+
+@settings(max_examples=25)
+@given(_quadrature_problem())
+def test_counting_kernel_equals_the_walk(problem):
+    direction, start, seed, corners, t, step, every = problem
+    inst = _build(direction, start, random_polygon(np.random.default_rng(seed), corners))
+    _assert_quadrature_matches(inst, t, step)
+    if every <= round(t * inst.time_scale / step):
+        _assert_profile_matches(inst, t, step, every)
 
 
 @pytest.mark.parametrize("step", [0.0, -1.0, -1e-3, float("nan"), float("inf")])
