@@ -300,8 +300,9 @@ def _block_runs(poly: Polytope, alpha, s, h: float, k0: int, k1: int,
     either side of it.  On an interior the point is base + t alpha, so the
     times at which every facet slack is at least +slack_tol, or at least
     -slack_tol, are one interval each.  Midpoints in the first interval
-    are hits and midpoints outside the second are misses.  The rest, the
-    bands, and one index on each side of every such end are walked.
+    are hits and midpoints outside the second are misses.  The rest and
+    the bands are walked.  The tolerances are wide enough to absorb the
+    rounding of each interval end and of its midpoint index.
     """
     t0, t1 = k0 * h, k1 * h
     cuts, bands = [], []
@@ -320,8 +321,8 @@ def _block_runs(poly: Polytope, alpha, s, h: float, k0: int, k1: int,
     def last(t):  # index of the last midpoint at or before t
         return np.floor(np.clip(t, t0 - h, t1 + h) / h - 0.5).astype(np.int64)
 
-    ka = np.maximum(first(cuts[:-1] + bands[:-1]) + 1, k0)
-    kb = np.minimum(last(cuts[1:] - bands[1:]) - 1, k1 - 1)
+    ka = np.maximum(first(cuts[:-1] + bands[:-1]), k0)
+    kb = np.minimum(last(cuts[1:] - bands[1:]), k1 - 1)
     base = s - np.floor(s + 0.5 * (cuts[:-1] + cuts[1:])[:, None] * alpha)
 
     def window(margin):  # times on each piece at which every slack >= margin
@@ -340,10 +341,10 @@ def _block_runs(poly: Polytope, alpha, s, h: float, k0: int, k1: int,
 
     in_lo, in_hi = window(slack_tol)
     may_lo, may_hi = window(-slack_tol)
-    ca = np.maximum(first(in_lo) + 1, ka)
-    cb = np.minimum(last(in_hi) - 1, kb)
-    ma = np.maximum(first(may_lo) - 1, ka)
-    mb = np.minimum(last(may_hi) + 1, kb)
+    ca = np.maximum(first(in_lo), ka)
+    cb = np.minimum(last(in_hi), kb)
+    ma = np.maximum(first(may_lo), ka)
+    mb = np.minimum(last(may_hi), kb)
     inside = ca <= cb
     interior = ka <= kb  # the bands are what the interiors leave out
     lo = np.concatenate(([k0], kb[interior] + 1, ma, np.where(inside, cb + 1, mb + 1)))
@@ -367,8 +368,9 @@ def _midpoint_hits(inst: FlowInstance, h: float, n: int, marks: np.ndarray):
     counted as an index range.  The few midpoints that rounding could put
     on either side of a range end or a wrap are decided by the float
     predicate of a midpoint-by-midpoint walk, so every hit is the walk's
-    hit.  Work is O(wraps + marks), not O(n), and memory is bounded by
-    blocks of 2**16 wraps.
+    hit.  Steps of more than half a wrap walk every midpoint instead.  Work
+    is O(min(wraps, n) + marks), and memory is bounded by blocks of 2**16
+    wraps.
     """
     alpha = inst.direction.floats()
     s = np.array([float(v) for v in inst.s_values])
@@ -380,7 +382,10 @@ def _midpoint_hits(inst: FlowInstance, h: float, n: int, marks: np.ndarray):
     tol = 8 * (len(alpha) + 1) * np.finfo(np.float64).eps
     slack_tol = tol * (np.abs(poly.offsets) + np.abs(poly.normals) @ (2.0 * reach))
     wraps_per_step = h * np.abs(alpha).sum()
-    if wraps_per_step > 0.25:  # a few midpoints per piece: walking them all is cheaper
+    if wraps_per_step > 0.5:
+        # Counting costs more than walking from about 0.5 wraps per step on
+        # (2e5 midpoints: even at 0.5-0.6, 1.4-2.5x at 1, 5-7.5x at 4), and a
+        # block holds at least one step, so its cut arrays would grow with it.
         runs = _walked_runs(poly, alpha, s, h, np.array([0]), np.array([n - 1]))
     else:
         width = max(1, int(_BLOCK_WRAPS / wraps_per_step))

@@ -538,6 +538,25 @@ def test_counting_kernel_on_midpoints_that_land_on_facets(start, lo, hi, m):
     _assert_profile_matches(inst, 40.0, 40.0 / round(40.0 * m), 49)
 
 
+@pytest.mark.parametrize("direction, start, lo, hi, step", [
+    (["sqrt(2) - 1", "1"], ["12345678/7", "1/3"], (0.2857144, 0.1), (0.9, 0.9), 2e-12),
+    (["sqrt(2) - 1", "1"], ["12345678/7", "17636679999999/10000000"],
+     (0.2, 0.0), (0.6, 0.5), 1e-12),
+    (["-(sqrt(2) - 1)", "sqrt(3) - 1", "1"], ["123456780000001/10000000", "1/5", "98765432/9"],
+     (0.0, 0.1, 0.1), (0.5, 0.9, 0.9), 2e-12),
+])
+def test_counting_kernel_far_from_the_origin(direction, start, lo, hi, step):
+    """Starts near 1.8e6 and 1.2e7, where a coordinate's ulp is 2.3e-10 or
+    1.9e-9: at these steps the walk's point stays put for hundreds of
+    midpoints, so rounding alone decides where it crosses the facet
+    x = 0.2857144, or wraps y forwards or x backwards into a body that
+    touches the face at 0.  Only the slack tolerance and the wrap band
+    cover errors that large."""
+    inst = _build(direction, start, Polytope.box(lo, hi))
+    assert _assert_quadrature_matches(inst, 2e5 * step, step).crossings == 1
+    _assert_profile_matches(inst, 2e5 * step, step, 1000)
+
+
 @st.composite
 def _quadrature_problem(draw):
     """A surd direction (normalized or not), a rational start, a random
