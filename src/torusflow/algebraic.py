@@ -10,10 +10,10 @@ Configs and the CLI accept coordinate values like ``"sqrt(2)-1"`` or
     NUMBER := digits ["." digits] [("e"|"E") ["+"|"-"] digits]
 
 Numbers parse exactly (decimal strings become exact rationals), so a
-literal denotes an exact mathematical value.  Rendering to a float, an
-mpmath float, or a fixed-point integer happens on demand at any requested
-binary precision; results are cached per precision so a value can be
-reused at escalating precision without reparsing.
+literal denotes an exact mathematical value.  Rendering to a float or to a
+fixed-point integer brackets the value in integer interval arithmetic
+(``_bounds``) at escalating binary precision until the rounding is decided;
+the float is computed once and cached.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 
-import mpmath
 import numpy as np
 
 from .errors import PrecisionExhaustedError, ValidationError
@@ -164,6 +163,8 @@ def _node_fraction(node) -> Fraction | None:
         return None
     lhs = _node_fraction(node[1])
     rhs = _node_fraction(node[2])
+    if op == "div" and rhs == 0:
+        raise ValidationError("division by zero in literal")
     if lhs is None or rhs is None:
         return None
     if op == "add":
@@ -173,31 +174,59 @@ def _node_fraction(node) -> Fraction | None:
     if op == "mul":
         return lhs * rhs
     if op == "div":
-        if rhs == 0:
-            raise ValidationError("division by zero in literal")
         return lhs / rhs
     raise AssertionError(op)
 
 
-def _node_eval(node, prec_bits: int) -> mpmath.mpf:
+def _bounds(node, p: int) -> tuple[int, int]:
+    """Integers lo <= value * 2**p <= hi, by interval arithmetic on the tree.
+
+    PrecisionExhaustedError if a divisor's interval contains 0 or a
+    radicand's reaches below 0; a larger p may separate it.
+    """
     op = node[0]
     if op == "num":
-        return mpmath.mpf(node[1].numerator) / node[1].denominator
+        num, den = node[1].numerator << p, node[1].denominator
+        return num // den, -(-num // den)
     if op == "neg":
-        return -_node_eval(node[1], prec_bits)
+        lo, hi = _bounds(node[1], p)
+        return -hi, -lo
     if op == "sqrt":
-        return mpmath.sqrt(_node_eval(node[1], prec_bits))
-    lhs = _node_eval(node[1], prec_bits)
-    rhs = _node_eval(node[2], prec_bits)
+        lo, hi = _bounds(node[1], p)
+        if hi < 0:
+            raise ValidationError("sqrt of a negative value in literal")
+        if lo < 0:
+            raise PrecisionExhaustedError(f"radicand not separated from 0 at {p} bits")
+        top = isqrt(hi << p)
+        return isqrt(lo << p), top + (top * top < hi << p)
+    a_lo, a_hi = _bounds(node[1], p)
+    b_lo, b_hi = _bounds(node[2], p)
     if op == "add":
-        return lhs + rhs
+        return a_lo + b_lo, a_hi + b_hi
     if op == "sub":
-        return lhs - rhs
+        return a_lo - b_hi, a_hi - b_lo
     if op == "mul":
-        return lhs * rhs
+        corners = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+        return min(corners) >> p, -(-max(corners) >> p)
     if op == "div":
-        return lhs / rhs
+        if b_lo <= 0 <= b_hi:
+            raise PrecisionExhaustedError(f"divisor not separated from 0 at {p} bits")
+        # a/b is monotone in each argument on these intervals
+        corners = [(a << p, b) for a in (a_lo, a_hi) for b in (b_lo, b_hi)]
+        return min(a // b for a, b in corners), max(-(-a // b) for a, b in corners)
     raise AssertionError(op)
+
+
+def _brackets(node, base: int):
+    """(guard, lo, hi) with lo <= value * 2**(base + guard) <= hi for guards
+    64, 128, ..., 4096, skipping those that leave a divisor or a radicand
+    undecided."""
+    for guard in (64 << k for k in range(7)):
+        try:
+            lo, hi = _bounds(node, base + guard)
+        except PrecisionExhaustedError:
+            continue
+        yield guard, lo, hi
 
 
 def _node_repr(node) -> str:
@@ -216,12 +245,12 @@ def _node_repr(node) -> str:
 class AlgebraicValue:
     """A lazily evaluated number built from rationals and square roots."""
 
-    __slots__ = ("_node", "_frac", "_cache", "_text")
+    __slots__ = ("_node", "_frac", "_float", "_text")
 
     def __init__(self, node, text: str | None = None):
         self._node = node
         self._frac = _node_fraction(node)
-        self._cache: dict[int, mpmath.mpf] = {}
+        self._float: float | None = None
         self._text = text
 
     # -- constructors -------------------------------------------------
@@ -257,43 +286,36 @@ class AlgebraicValue:
     def as_fraction(self) -> Fraction | None:
         return self._frac
 
-    def eval_mpf(self, prec_bits: int | None = None) -> mpmath.mpf:
-        bits = prec_bits if prec_bits is not None else default_precision_bits()
-        cached = self._cache.get(bits)
-        if cached is not None:
-            return cached
-        with mpmath.workprec(bits + 16):
-            raw = _node_eval(self._node, bits + 16)
-        with mpmath.workprec(bits):
-            value = +raw
-        self._cache[bits] = value
-        return value
-
     def fixed(self, scale_bits: int = DEFAULT_FIXED_SCALE) -> int:
-        """Nearest integer to value * 2**scale_bits (error <= 1/2 + 2**-48).
+        """Nearest integer to value * 2**scale_bits (ties round up).
 
-        Rational values round exactly.  Irrational values are rendered with
-        guard bits; the guard is escalated if the result sits too close to a
-        rounding boundary to call.
+        Rational values round exactly.  Irrational values are bracketed in
+        integer interval arithmetic with guard bits below the scale; the guard
+        doubles from 64 to 4096 until both ends round to the same integer.
         """
         if self._frac is not None:
             num = self._frac.numerator << scale_bits
             q, r = divmod(num, self._frac.denominator)
             return q + (1 if 2 * r >= self._frac.denominator else 0)
-        guard = 64
-        while guard <= 4096:
-            with mpmath.workprec(scale_bits + guard):
-                scaled = _node_eval(self._node, scale_bits + guard) * mpmath.mpf(2) ** scale_bits
-                near = mpmath.nint(scaled)
-                if abs(scaled - near) < mpmath.mpf(0.5) - mpmath.mpf(2) ** (-guard // 2):
-                    return int(near)
-            guard *= 2
+        for guard, lo, hi in _brackets(self._node, scale_bits):
+            half = 1 << (guard - 1)
+            if (lo + half) >> guard == (hi + half) >> guard:
+                return (lo + half) >> guard
         raise PrecisionExhaustedError(
             f"fixed-point rounding of {self!r} at scale {scale_bits} is ambiguous"
         )
 
     def __float__(self) -> float:
-        return float(self.eval_mpf(96))
+        """The correctly rounded float, computed once: int true division
+        rounds correctly, so ends that round alike pin the value's float."""
+        if self._float is None:
+            for guard, lo, hi in _brackets(self._node, 0):
+                if lo / (1 << guard) == hi / (1 << guard):
+                    self._float = hi / (1 << guard)  # +0.0 for a zero value
+                    break
+            else:
+                raise PrecisionExhaustedError(f"float of {self!r} undecided at 4096 bits")
+        return self._float
 
     # -- arithmetic (builds new trees) ---------------------------------
 
@@ -524,3 +546,13 @@ def _argmin(limbs: np.ndarray) -> int:
         vals = limb[idx]
         idx = idx[vals == vals.min()]
     return int(idx[0])
+
+
+def _quotients(num: int, den: int) -> list[int]:
+    """Partial quotients of num/den for den > 0: Euclid's algorithm."""
+    quotients = []
+    while den:
+        q, r = divmod(num, den)
+        quotients.append(q)
+        num, den = den, r
+    return quotients

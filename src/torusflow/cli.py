@@ -195,14 +195,11 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
 
 
 def _manifest(cfg: ExperimentConfig) -> dict:
-    import mpmath
-
     return {
         "config_sha256": cfg.sha256(),
         "name": cfg.name,
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "mpmath_version": mpmath.__version__,
         "python_version": sys.version.split()[0],
         "precision_bits": cfg.precision_bits,
     }

@@ -13,11 +13,10 @@ import io
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
-from mpmath.libmp import from_man_exp, to_str
 
 from .algebraic import (
     DEFAULT_FIXED_SCALE,
@@ -26,6 +25,7 @@ from .algebraic import (
     _dist_to_int,
     _less,
     _multiple_distances,
+    _quotients,
     _residues,
     _sub,
     _to_floats,
@@ -93,80 +93,48 @@ class ContinuedFraction:
 def continued_fraction(x, depth: int, prec_bits: int | None = None) -> ContinuedFraction:
     """First ``depth`` partial quotients (beyond a_0 = floor(x)) of a real.
 
-    The expansion is run on an exact rational interval bracketing x, so a
-    quotient is emitted only once it is forced; if the interval is too wide
-    to decide a quotient before reaching ``depth``, PrecisionExhaustedError
-    is raised rather than guessing.
+    A rational x expands exactly.  An irrational x is bracketed by
+    [lo, hi] = [f - 1, f + 1] / 2**scale around its rounding f, and the
+    quotients reported are those both ends share, which every number in
+    [lo, hi] shares; if fewer than ``depth`` are decided,
+    PrecisionExhaustedError is raised rather than guessing.
     """
     value = AlgebraicValue.coerce(x)
     bits = prec_bits if prec_bits is not None else default_precision_bits()
-    scale = max(bits, DEFAULT_FIXED_SCALE)
+    whole = _expansion(value, max(bits, DEFAULT_FIXED_SCALE))
+    if value.is_rational and whole.depth < depth:
+        return replace(whole, exact=True)
+    return _prefix(whole, depth)
 
+
+def _expansion(value: AlgebraicValue, scale: int) -> ContinuedFraction:
+    """Every partial quotient of value that its bracket at this scale decides."""
     frac = value.as_fraction()
     if frac is not None:
         lo = hi = frac
+        quotients = _quotients(frac.numerator, frac.denominator)
     else:
         fixed = value.fixed(scale)
-        lo = Fraction(fixed - 1, 1 << scale)
-        hi = Fraction(fixed + 1, 1 << scale)
-    a0_lo, a0_hi = math.floor(lo), math.floor(hi)
-    if a0_lo != a0_hi:
-        if frac is None:
-            raise PrecisionExhaustedError(
-                f"floor of {value!r} undecided at {scale} bits"
-            )
-        a0_lo = a0_hi = math.floor(frac)
+        lo, hi = Fraction(fixed - 1, 1 << scale), Fraction(fixed + 1, 1 << scale)
+        ends = zip(_quotients(fixed - 1, 1 << scale), _quotients(fixed + 1, 1 << scale))
+        quotients = [a for a, _ in itertools.takewhile(lambda ab: ab[0] == ab[1], ends)]
+    convergents = []
+    (p_prev, q_prev), (p, q) = (0, 1), (1, 0)  # (p_{-2}, q_{-2}), (p_{-1}, q_{-1})
+    for a in quotients:
+        (p_prev, q_prev), (p, q) = (p, q), (a * p + p_prev, a * q + q_prev)
+        convergents.append((p, q))
+    return ContinuedFraction(value=value, partial_quotients=tuple(quotients),
+                             convergents=tuple(convergents), exact=False,
+                             scale_bits=scale, lo=lo, hi=hi)
 
-    quotients = [a0_lo]
-    p_prev, q_prev = 1, 0  # (p_{-1}, q_{-1})
-    p_cur, q_cur = a0_lo, 1  # (p_0, q_0)
-    convergents = [(a0_lo, 1)]
-    cur_lo, cur_hi = lo - a0_lo, hi - a0_lo
-    exact = False
 
-    for _ in range(depth):
-        if cur_lo == 0 and cur_hi == 0:
-            # rational input, expansion terminated
-            exact = True
-            break
-        if cur_lo == 0 or cur_hi == 0:
-            if frac is not None:
-                exact = True
-                break
-            raise PrecisionExhaustedError(
-                f"cannot separate next quotient of {value!r} at {scale} bits"
-            )
-        inv_lo = 1 / cur_hi
-        inv_hi = 1 / cur_lo
-        a_lo = inv_lo.numerator // inv_lo.denominator
-        a_hi = inv_hi.numerator // inv_hi.denominator
-        if a_lo != a_hi:
-            if frac is not None and inv_hi.denominator == 1:
-                # exact boundary: 1/frac is an integer, expansion ends with a_hi
-                a_lo = a_hi = int(inv_hi)
-            else:
-                raise PrecisionExhaustedError(
-                    f"partial quotient {len(quotients)} of {value!r} undecided "
-                    f"at {scale} bits"
-                )
-        a = a_lo
-        quotients.append(a)
-        p_cur, p_prev = a * p_cur + p_prev, p_cur
-        q_cur, q_prev = a * q_cur + q_prev, q_cur
-        convergents.append((p_cur, q_cur))
-        next_lo = inv_lo - a
-        next_hi = inv_hi - a
-        cur_lo, cur_hi = next_lo, next_hi
-
-    return ContinuedFraction(
-        value=value,
-        partial_quotients=tuple(quotients),
-        convergents=tuple(convergents),
-        exact=exact,
-        scale_bits=scale,
-        lo=lo,
-        hi=hi,
-    )
+def _prefix(cf: ContinuedFraction, depth: int) -> ContinuedFraction:
+    """The expansion to a_depth; PrecisionExhaustedError if cf stops short."""
+    if cf.depth < depth:
+        raise PrecisionExhaustedError(f"partial quotient {cf.depth + 1} of {cf.value!r} "
+                                      f"undecided at {cf.scale_bits} bits")
+    return replace(cf, partial_quotients=cf.partial_quotients[:depth + 1],
+                   convergents=cf.convergents[:depth + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +156,9 @@ class SeriesBound:
     (recorded here; the assumption is empirical, not proved).
 
     The head is exact for alpha *rounded* to r/2**scale_bits:
-    ``partial_sum`` is that head correctly rounded to a float and
-    ``partial_sum_digits`` its 30 significant digits as ``mpmath.nstr``
-    prints them.  Rounding alpha moves each ||n alpha|| by up to
-    n * 2**-scale_bits; that effect is not in either bound.
+    ``partial_sum`` is that head correctly rounded to a float.  Rounding
+    alpha moves each ||n alpha|| by up to n * 2**-scale_bits; that effect is
+    not in either bound.
     """
 
     partial_sum: float
@@ -200,7 +167,6 @@ class SeriesBound:
     depth_used: int
     quotient_cap: int
     scale_bits: int
-    partial_sum_digits: str
 
 
 def _zeta2_from(i0: int) -> float:
@@ -233,7 +199,7 @@ def diophantine_series(alpha1, n_max: int, prec_bits: int | None = None,
     The head is summed in integers: with ||n alpha|| = d_n / 2**scale for
     the rounded alpha, the floors of 2**(scale+k) / (n^2 d_n) sum to s and
     the head lies in [s, s + n_max] * 2**-k.  k doubles from 128 until both
-    ends give the same float and digits; PrecisionExhaustedError if 1024
+    ends give the same float; PrecisionExhaustedError if 1024
     does not settle them, or if some d_n <= 2n (the first such n is named).
     """
     value = AlgebraicValue.coerce(alpha1)
@@ -245,17 +211,15 @@ def diophantine_series(alpha1, n_max: int, prec_bits: int | None = None,
     scale = max(bits, DEFAULT_FIXED_SCALE)
 
     if cf is None:
-        # grow the expansion until the last denominator comfortably clears
-        # n_max; deeper is better because less weight rests on the assumed cap.
-        # Where the precision runs out first, keep the deepest expansion it decides.
+        # take 32, 64, ... quotients until the last denominator comfortably
+        # clears n_max; deeper is better because less weight rests on the
+        # assumed cap.  Where the precision runs out first, keep every quotient
+        # it decides.
+        whole = _expansion(value, scale)
         depth, target = 32, max(n_max, 10 ** 6) ** 2
-        while cf is None or cf.q(cf.depth) <= target:
-            try:
-                cf = continued_fraction(value, depth, prec_bits=bits)
-            except PrecisionExhaustedError:
-                cf = _deepest_expansion(value, bits, depth)
-                break
+        while depth <= whole.depth and whole.q(depth) <= target:
             depth *= 2
+        cf = _prefix(whole, max(1, min(depth, whole.depth)))
     if cf.q(cf.depth) <= n_max:
         raise TailNotCertifiableError(
             f"continued fraction reaches only q={cf.q(cf.depth)} <= n_max={n_max}"
@@ -268,19 +232,17 @@ def diophantine_series(alpha1, n_max: int, prec_bits: int | None = None,
         raise PrecisionExhaustedError(
             f"||{int(unresolved[0]) + 1}*alpha|| indistinguishable from 0 at scale {scale}")
 
-    # rounding to a float and nstr are monotone within a binade, so ends that agree
-    # there pin every value between them
+    # rounding to a float is monotone, so ends that round alike pin every
+    # value between them
     squares = map(operator.mul, range(1, n_max + 1), range(1, n_max + 1))
     denominators = list(map(operator.mul, squares, _to_ints(limbs)))
     for k in (128, 256, 512, 1024):
         lo = sum(map(operator.floordiv, itertools.repeat(1 << (scale + k)), denominators))
-        ends = {(x / (1 << k), to_str(from_man_exp(x, -k), 30), x.bit_length())
-                for x in (lo, lo + n_max)}
-        if len(ends) == 1:
+        partial_sum = lo / (1 << k)
+        if partial_sum == (lo + n_max) / (1 << k):
             break
     else:
         raise PrecisionExhaustedError(f"series head undecided at 2**-{k}")
-    (partial_sum, digits, _), = ends
 
     # blockwise tail over computed convergents
     cap = max(2, cf.max_quotient)
@@ -320,21 +282,7 @@ def diophantine_series(alpha1, n_max: int, prec_bits: int | None = None,
         depth_used=cf.depth,
         quotient_cap=cap,
         scale_bits=scale,
-        partial_sum_digits=digits,
     )
-
-
-def _deepest_expansion(value: AlgebraicValue, bits: int, depth_hint: int) -> ContinuedFraction:
-    """Longest expansion obtainable at this precision (bisect on depth)."""
-    lo_ok, hi_bad = 1, depth_hint
-    while lo_ok + 1 < hi_bad:
-        mid = (lo_ok + hi_bad) // 2
-        try:
-            continued_fraction(value, mid, prec_bits=bits)
-            lo_ok = mid
-        except PrecisionExhaustedError:
-            hi_bad = mid
-    return continued_fraction(value, lo_ok, prec_bits=bits)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from torusflow.algebraic import (
     AlgebraicValue,
+    _bounds,
     _dist_to_int,
     _less,
     _normalized_floats,
@@ -23,7 +25,7 @@ from torusflow.algebraic import (
     frac_point,
     parse_literal,
 )
-from torusflow.errors import ValidationError
+from torusflow.errors import PrecisionExhaustedError, ValidationError
 
 SCALE = 192
 
@@ -50,18 +52,96 @@ def test_literal_rationality_flags():
     assert parse_literal("sqrt(2) - 1").as_fraction() is None
 
 
-@pytest.mark.parametrize("bad", ["sqrt(-1)", "2**3", "sqrt(2", "1/0", "", "two"])
+@pytest.mark.parametrize("bad", ["sqrt(-1)", "2**3", "sqrt(2", "1/0", "sqrt(2)/(1 - 1)", "",
+                                 "two"])
 def test_malformed_literals_rejected(bad):
     with pytest.raises(ValidationError):
         parse_literal(bad)
 
 
 def test_sqrt_int_high_precision():
-    """eval_mpf must deliver the requested working precision, not float64."""
-    got = parse_literal("sqrt(2)").eval_mpf(220)
-    with mpmath.workprec(260):
-        err = abs(got - mpmath.sqrt(2))
-    assert err < mpmath.mpf(2) ** -210
+    """fixed(220) is the nearest integer to sqrt(2) * 2**220, not a float64 value."""
+    assert parse_literal("sqrt(2)").fixed(220) == (isqrt(8 << 440) + 1) >> 1
+
+
+def test_values_that_cancel_exactly():
+    """A zero written with square roots rounds to +0.0 and 0.  A radicand
+    written with square roots is rejected once evaluation shows it negative,
+    also when it is tiny, and one that no precision separates from 0 is
+    undecided."""
+    assert repr(float(parse_literal("sqrt(2) - sqrt(2)"))) == "0.0"
+    assert parse_literal("sqrt(8) - 2*sqrt(2)").fixed(192) == 0
+    for text in ("sqrt(1 - sqrt(2))", "sqrt(sqrt(2) - sqrt(2) - 1e-300)"):
+        with pytest.raises(ValidationError):
+            parse_literal(text).fixed(192)
+    with pytest.raises(PrecisionExhaustedError):
+        parse_literal("sqrt(sqrt(2) - sqrt(2))").fixed(192)
+
+
+def _floor_sqrt(b, n):
+    """floor(b * sqrt(n)) for integers b and n >= 0."""
+    r = isqrt(b * b * n)
+    return r if b >= 0 else -r - (r * r != b * b * n)
+
+
+def _not_square(n):
+    return isqrt(n) ** 2 != n
+
+
+# (literal, a, b, d, c) with value (a + b sqrt(d)) / c: random surds, and
+# sqrt(n^2 + c) - n, whose digits cancel against n
+_surds = st.one_of(
+    st.builds(lambda a, b, d, c: (f"({a} + {b}*sqrt({d}))/{c}", a, b, d, c),
+              st.integers(-10 ** 6, 10 ** 6), st.integers(-100, 100).filter(bool),
+              st.integers(2, 10 ** 4).filter(_not_square), st.integers(1, 1000)),
+    st.builds(lambda n, c: (f"sqrt({n}*{n} + {c}) - {n}", -n, 1, n * n + c, 1),
+              st.integers(50, 10 ** 40), st.integers(1, 100)),
+)
+_CANCELLING = [(f"sqrt(1e{2 * e} + 3) - 1e{e}", -10 ** e, 1, 10 ** (2 * e) + 3, 1)
+               for e in (20, 26, 40)]
+# the product widens the bracket to about 2**100 units, past the first guard
+_AMPLIFIED = ("(sqrt(1e52 + 3) - 1e26) * 1e30", -10 ** 56, 10 ** 30, 10 ** 52 + 3, 1)
+
+
+@given(surd=_surds, scale=st.integers(64, 320))
+@example(surd=_CANCELLING[1], scale=192)
+@example(surd=_CANCELLING[2], scale=64)
+@example(surd=_AMPLIFIED, scale=64)
+def test_fixed_equals_integer_square_roots(surd, scale):
+    """fixed rounds (a + b sqrt(d)) / c * 2**scale to nearest, also where
+    the digits of a literal cancel."""
+    text, a, b, d, c = surd
+    want = ((a << (scale + 1)) + c + _floor_sqrt(b << (scale + 1), d)) // (2 * c)
+    assert parse_literal(text).fixed(scale) == want
+
+
+@given(surd=_surds, p=st.integers(0, 320))
+def test_bounds_bracket_the_value(surd, p):
+    """_bounds brackets value * 2**p, also with the value built from
+    rational coefficients, whose products and quotients are inexact."""
+    text, a, b, d, c = surd
+    floor = ((a << p) + _floor_sqrt(b << p, d)) // c  # of an irrational value * 2**p
+    built = (AlgebraicValue.from_rational(Fraction(a, c))
+             + AlgebraicValue.from_rational(Fraction(b, c)) * parse_literal(f"sqrt({d})"))
+    for value in (parse_literal(text), built):
+        lo, hi = _bounds(value._node, p)
+        assert lo <= floor < hi
+
+
+@given(surd=_surds)
+@example(surd=_CANCELLING[0])
+def test_float_is_correctly_rounded(surd):
+    """float() is the float nearest the value: floor(value * 2**bits) and
+    one more round to the same float once bits suffice."""
+    text, a, b, d, c = surd
+    bits = 64
+    while True:
+        lo = ((a << bits) + _floor_sqrt(b << bits, d)) // c
+        want = float(Fraction(lo, 1 << bits))
+        if want == float(Fraction(lo + 1, 1 << bits)):
+            break
+        bits *= 2
+    assert float(parse_literal(text)) == want
 
 
 def test_fixed_point_rounding_and_determinism(silver):
