@@ -309,12 +309,16 @@ class AlgebraicValue:
         """The correctly rounded float, computed once: int true division
         rounds correctly, so ends that round alike pin the value's float."""
         if self._float is None:
-            for guard, lo, hi in _brackets(self._node, 0):
-                if lo / (1 << guard) == hi / (1 << guard):
-                    self._float = hi / (1 << guard)  # +0.0 for a zero value
-                    break
-            else:
-                raise PrecisionExhaustedError(f"float of {self!r} undecided at 4096 bits")
+            try:
+                for guard, lo, hi in _brackets(self._node, 0):
+                    if lo / (1 << guard) == hi / (1 << guard):
+                        self._float = hi / (1 << guard)  # +0.0 for a zero value
+                        break
+                else:
+                    raise PrecisionExhaustedError(f"float of {self!r} undecided at 4096 bits")
+            except OverflowError:
+                raise ValidationError(
+                    f"literal {self.literal()!r} is outside the float range") from None
         return self._float
 
     # -- arithmetic (builds new trees) ---------------------------------

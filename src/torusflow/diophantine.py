@@ -64,9 +64,6 @@ class ContinuedFraction:
     def q(self, ell: int) -> int:
         return self.convergents[ell][1]
 
-    def p(self, ell: int) -> int:
-        return self.convergents[ell][0]
-
     @property
     def denominators(self) -> tuple[int, ...]:
         return tuple(q for _, q in self.convergents)

@@ -557,8 +557,38 @@ def _check_box_args(direction: Direction, grid: int):
         raise ValidationError("grid must be >= 1")
 
 
-class _BoxSweep2D:
-    """Shared state for grid box sups in the plane at integer times, s = 0.
+def _corner_sup(e: np.ndarray, want_argmax: bool):
+    """Grid-box sups of a batch of planar corner tables e[b, i2, i1].
+
+    On grid levels L, the box [L[i1], L[j1]] x [L[i2], L[j2]] takes the sum
+    e[j2, j1] - e[j2, i1] - e[i2, j1] + e[i2, i1].  On rows i2 < j2 the
+    best box spans the argmin and argmax of D = e[j2] - e[i2], with value
+    max(D) - min(D): O(g^3) work per table.  Returns the sups and, if
+    asked, each argmax box as grid indices [[lo1, lo2], [hi1, hi2]].
+    """
+    g = e.shape[-1] - 1
+    # axes (level 1, level 2, batch), so each range reduces whole rows
+    et = np.ascontiguousarray(e.transpose(2, 1, 0))
+    ranges = np.concatenate([np.ptp(et[:, i2 + 1:] - et[:, i2, None], axis=0)
+                             for i2 in range(g)])  # row pairs in triu order
+    sups = ranges.max(axis=0)
+    if not want_argmax:
+        return sups, None
+    lo_idx, hi_idx = np.triu_indices(g + 1, k=1)
+    pair = ranges.argmax(axis=0)
+    k = np.arange(len(e))
+    row = e[k, hi_idx[pair]] - e[k, lo_idx[pair]]
+    j1 = row.argmax(axis=1)
+    i1 = row.argmin(axis=1)
+    i1[i1 == j1] = g  # D is flat: every box on the rows is 0
+    lo1, hi1 = np.sort([i1, j1], axis=0)
+    return sups, np.array([[lo1, lo_idx[pair]], [hi1, hi_idx[pair]]]).transpose(2, 0, 1)
+
+
+def _box_sweep(direction, grid: int, t_values, want_argmax: bool = False,
+               scale_bits: int = DEFAULT_FIXED_SCALE):
+    """Grid box sups in the plane at integer times, s = 0, and if asked each
+    argmax box as [[lo1, lo2], [hi1, hi2]] in an array of shape (times, 2, 2).
 
     For a box [a1,b1] x [a2,b2] the unit-window section value at x is
     (G(x + b2*q) - G(x + a2*q)) / q with q = alpha_1 and
@@ -566,122 +596,95 @@ class _BoxSweep2D:
     values: summing B(u, c) = floor(u)*c + min(u - floor(u), c) over the
     orbit for each (shift c2, cap c1) pair gives one (g+1) x (g+1) running
     matrix.  The area term t*(b2 - a2)*(b1 - a1) is a rectangle sum of
-    t * outer(L, L) over the grid levels L, so with E = running/q - that
-    outer product every grid box's Delta_t is a rectangle sum of E.  On
-    rows i2 < j2 the best box spans the argmin and argmax of
-    D = E[j2] - E[i2], with value max(D) - min(D): O(g^3) work per time.
+    t * outer(L, L) over the grid levels L, so E = running/q - that outer
+    product is a corner table for _corner_sup at each time.
     """
+    inst = FlowInstance.build(direction, (0, 0), Polytope.unit_cube(2),
+                              scale_bits=scale_bits, want_section=False)
+    alpha1 = float(inst.direction.values[0])
+    levels = np.arange(grid + 1) / grid
+    shifts = levels * alpha1
+    level_area = np.outer(levels, levels)
+    times = np.asarray(t_values)
+    if times.ndim != 1 or times.dtype.kind not in "iuf" or not np.all(
+            np.isfinite(times) & (times == np.floor(times)) & (times >= 1)
+            & (times < 2.0 ** 63)):
+        raise ValidationError("box sweep times must be positive integers below 2**63")
+    order = np.argsort(times)
+    sorted_t = times[order].astype(np.int64)
+    t_max = int(sorted_t.max(initial=0))
+    sups = np.zeros(len(times))
+    boxes = np.zeros((len(times), 2, 2), dtype=np.int64)
 
-    def __init__(self, inst: FlowInstance, grid: int):
-        self.inst = inst
-        self.g = grid
-        self.alpha1 = float(inst.direction.values[0])
-        levels = np.arange(grid + 1) / grid
-        self.levels = levels
-        self.shifts = levels * self.alpha1
-        self.level_area = np.outer(levels, levels)
-        self.lo_idx, self.hi_idx = np.triu_indices(grid + 1, k=1)
+    carry = np.zeros((grid + 1, grid + 1))
+    chunk = 4096
+    eval_batch = 256
+    for start in range(0, t_max, chunk):
+        count = min(chunk, t_max - start)
+        x = frac_orbit_floats(inst.alpha_fixed[0], inst.scale_bits, count,
+                              start_fixed=inst.x0_fixed[0], k0=start)
+        u = x[:, None] + shifts[None, :]
+        fl = np.floor(u)
+        fr = u - fl
+        b = (fl[:, :, None] * levels[None, None, :]
+             + np.minimum(fr[:, :, None], levels[None, None, :]))
+        cum = np.cumsum(b, axis=0)
+        cum += carry[None, :, :]
 
-    def sups(self, t_values, want_argmax: bool = False):
-        """Grid sups at each time and, if asked, each argmax box as
-        [[lo1, lo2], [hi1, hi2]] in an array of shape (times, 2, 2)."""
-        inst = self.inst
-        g = self.g
-        times = np.asarray(t_values)
-        if times.ndim != 1 or times.dtype.kind not in "iuf" or not np.all(
-                np.isfinite(times) & (times == np.floor(times)) & (times >= 1)
-                & (times < 2.0 ** 63)):
-            raise ValidationError("box sweep times must be positive integers below 2**63")
-        order = np.argsort(times)
-        sorted_t = times[order].astype(np.int64)
-        t_max = int(sorted_t.max(initial=0))
-        sups = np.zeros(len(times))
-        boxes = np.zeros((len(times), 2, 2), dtype=np.int64)
-
-        carry = np.zeros((g + 1, g + 1))
-        chunk = 4096
-        eval_batch = 256
-        for start in range(0, t_max, chunk):
-            count = min(chunk, t_max - start)
-            x = frac_orbit_floats(inst.alpha_fixed[0], inst.scale_bits, count,
-                                  start_fixed=inst.x0_fixed[0], k0=start)
-            u = x[:, None] + self.shifts[None, :]
-            fl = np.floor(u)
-            fr = u - fl
-            b = (fl[:, :, None] * self.levels[None, None, :]
-                 + np.minimum(fr[:, :, None], self.levels[None, None, :]))
-            cum = np.cumsum(b, axis=0)
-            cum += carry[None, :, :]
-
-            first, stop = np.searchsorted(sorted_t, [start + 1, start + count + 1])
-            for i in range(first, stop, eval_batch):
-                ts = sorted_t[i:min(i + eval_batch, stop)]
-                at = order[i:i + len(ts)]
-                e = cum[ts - start - 1] / self.alpha1 - ts[:, None, None] * self.level_area
-                # axes (x level, t level, time), so each range reduces whole rows
-                et = np.ascontiguousarray(e.transpose(2, 1, 0))
-                ranges = np.concatenate([np.ptp(et[:, i2 + 1:] - et[:, i2, None], axis=0)
-                                         for i2 in range(g)])  # row pairs in triu order
-                sups[at] = ranges.max(axis=0)
-                if want_argmax:
-                    pair = ranges.argmax(axis=0)
-                    k = np.arange(len(ts))
-                    row = e[k, self.hi_idx[pair]] - e[k, self.lo_idx[pair]]
-                    j1 = row.argmax(axis=1)
-                    i1 = row.argmin(axis=1)
-                    i1[i1 == j1] = g  # D is flat: every box on the rows is 0
-                    boxes[at, :, 0] = np.sort([i1, j1], axis=0).T
-                    boxes[at, :, 1] = np.stack([self.lo_idx[pair], self.hi_idx[pair]], axis=1)
-            carry = cum[-1].copy()
-        return sups, (self.levels[boxes] if want_argmax else None)
+        first, stop = np.searchsorted(sorted_t, [start + 1, start + count + 1])
+        for i in range(first, stop, eval_batch):
+            ts = sorted_t[i:min(i + eval_batch, stop)]
+            at = order[i:i + len(ts)]
+            e = cum[ts - start - 1] / alpha1 - ts[:, None, None] * level_area
+            sups[at], best = _corner_sup(e, want_argmax)
+            if want_argmax:
+                boxes[at] = best
+        carry = cum[-1].copy()
+    return sups, (levels[boxes] if want_argmax else None)
 
 
 def box_discrepancy_sup(direction, s, t, grid: int,
                         scale_bits: int = DEFAULT_FIXED_SCALE) -> BoxSup:
     """Largest |Delta_t| over all boxes with corners on the (1/grid) grid.
 
-    A grid supremum is a lower bound for the true box-family supremum.  The
-    planar zero-start integer-time case runs through a shared cumulative
-    sweep; anything else falls back to per-box exact evaluation (fine for
-    small grids, expensive otherwise).
+    A grid sup is a lower bound for the box-family sup.  Delta_t is additive
+    over disjoint boxes, so a grid box is a signed sum of F(u) = Delta_t([0, u))
+    at its 2^d corners, and one corner table decides every sup: the sweep's
+    (planar, start 0, integer t), or else g^d exact orthant evaluations with
+    axes 3..d folded over level pairs into the batch, at O(g^(2d-1)) cost.
     """
     if not isinstance(direction, Direction):
         direction = Direction.make(direction)
     _check_box_args(direction, grid)
-    if not math.isfinite(t):
-        raise ValidationError("box sup time must be finite")
+    _check_times(t)
     s_vals = tuple(AlgebraicValue.coerce(v) for v in s)
     s_zero = all(v.as_fraction() == 0 for v in s_vals)
 
     if (direction.d == 2 and s_zero and float(t) == int(t) and t >= 1
             and direction.normalized):
-        inst = FlowInstance.build(direction, s_vals, Polytope.unit_cube(2),
-                                  scale_bits=scale_bits, want_section=False)
-        sweep = _BoxSweep2D(inst, grid)
-        sups, best = sweep.sups(np.array([int(t)]), want_argmax=True)
-        lo, hi = best[0].tolist()
-        return BoxSup(sup=float(sups[0]), box_lo=tuple(lo), box_hi=tuple(hi),
-                      t=float(t), grid=grid)
-
-    # generic fallback: every grid box through the exact engine
-    d = direction.d
-    levels = [i / grid for i in range(grid + 1)]
-    best_sup, best_lo, best_hi = -1.0, None, None
-    axes = []
-    for _ in range(d):
-        axes.append([(levels[i], levels[j])
-                     for i in range(grid + 1) for j in range(i + 1, grid + 1)])
-    import itertools as _it
-
-    for combo in _it.product(*axes):
-        lo = tuple(c[0] for c in combo)
-        hi = tuple(c[1] for c in combo)
-        inst = FlowInstance.build(direction, s_vals, Polytope.box(lo, hi),
-                                  scale_bits=scale_bits)
-        val = abs(delta_T_exact(inst, t))
-        if val > best_sup:
-            best_sup, best_lo, best_hi = val, lo, hi
-    return BoxSup(sup=best_sup, box_lo=best_lo, box_hi=best_hi, t=float(t), grid=grid)
+        sups, best = _box_sweep(direction, grid, np.array([int(t)]), want_argmax=True,
+                                scale_bits=scale_bits)
+        sup, (lo, hi) = sups[0], best[0].tolist()
+    else:
+        d = direction.d
+        levels = np.arange(grid + 1) / grid
+        f = np.zeros((grid + 1,) * d)  # f[i1, .., id] = Delta_t([0, L[i]))
+        for u in np.ndindex(*(grid,) * d):
+            corner = np.add(u, 1)
+            box = Polytope.box(np.zeros(d), levels[corner])
+            inst = FlowInstance.build(direction, s_vals, box, scale_bits=scale_bits)
+            f[tuple(corner)] = delta_T_exact(inst, t)
+        lo_idx, hi_idx = np.triu_indices(grid + 1, k=1)
+        e = f.transpose(*range(2, d), 1, 0)
+        for axis in range(d - 2):
+            e = e.take(hi_idx, axis=axis) - e.take(lo_idx, axis=axis)
+        sups, boxes = _corner_sup(e.reshape(-1, grid + 1, grid + 1), want_argmax=True)
+        b = int(sups.argmax())
+        pairs = np.unravel_index(b, (len(lo_idx),) * (d - 2))
+        sup = sups[b]
+        lo = levels[[*boxes[b, 0], *(lo_idx[p] for p in pairs)]].tolist()
+        hi = levels[[*boxes[b, 1], *(hi_idx[p] for p in pairs)]].tolist()
+    return BoxSup(sup=float(sup), box_lo=tuple(lo), box_hi=tuple(hi), t=float(t), grid=grid)
 
 
 def box_discrepancy_profile(direction, t_values, grid: int,
@@ -691,10 +694,7 @@ def box_discrepancy_profile(direction, t_values, grid: int,
         direction = Direction.make(direction)
     _check_box_args(direction, grid)
     direction.require_normalized()
-    inst = FlowInstance.build(direction, (0, 0), Polytope.unit_cube(2),
-                              scale_bits=scale_bits, want_section=False)
-    sweep = _BoxSweep2D(inst, grid)
-    sups, _ = sweep.sups(t_values)
+    sups, _ = _box_sweep(direction, grid, t_values, scale_bits=scale_bits)
     return sups
 
 

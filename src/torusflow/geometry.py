@@ -60,9 +60,6 @@ class Direction:
     def floats(self) -> np.ndarray:
         return np.array([float(v) for v in self.values], dtype=np.float64)
 
-    def fixed(self, scale_bits: int) -> list[int]:
-        return [v.fixed(scale_bits) for v in self.values]
-
     def literals(self) -> list[str]:
         return [v.literal() for v in self.values]
 

@@ -5,7 +5,9 @@ import json
 
 import numpy as np
 import pytest
+from test_engine import _corner_tol
 
+from torusflow.algebraic import parse_literal
 from torusflow.cli import (
     EXIT_OK,
     EXIT_PRECISION,
@@ -17,7 +19,9 @@ from torusflow.cli import (
     run_experiment,
 )
 from torusflow.diophantine import block_capacity
+from torusflow.engine import FlowInstance, delta_T_exact
 from torusflow.errors import ValidationError
+from torusflow.geometry import Polytope
 
 TRIANGLE_CONFIG = {
     "name": "triangle-silver",
@@ -158,6 +162,28 @@ def test_boxsup_command(tmp_path, capsys):
     np.testing.assert_allclose(val, 0.104369631881, atol=1e-9)
     blob = json.loads((tmp_path / "bs" / "boxsup.json").read_text())
     np.testing.assert_allclose(blob["sup"], val, atol=1e-9)  # stdout is rounded
+
+
+def test_boxsup_3d_from_a_rational_start(tmp_path, capsys):
+    """The corner table in 3d: the printed box holds Python floats and the
+    box in boxsup.json reproduces the sup through the exact engine."""
+    cfg = dict(TRIANGLE_CONFIG, direction=["sqrt(2) - 1", "sqrt(3) - 1", "1"],
+               start=["1/3", "2/7", "1/5"], polytope={"unit_cube": 3},
+               schedule={"t_max": 20.0}, grid=4, out=str(tmp_path / "bs"))
+    assert main(["boxsup", "--config", _write_config(tmp_path, cfg)]) == EXIT_OK
+    assert "np.float64" not in capsys.readouterr().out
+    blob = json.loads((tmp_path / "bs" / "boxsup.json").read_text())
+    direction = [parse_literal(v) for v in cfg["direction"]]
+    inst = FlowInstance.build(direction, [parse_literal(v) for v in cfg["start"]],
+                              Polytope.box(blob["box_lo"], blob["box_hi"]))
+    assert abs(abs(delta_T_exact(inst, 20.0)) - blob["sup"]) <= _corner_tol(direction, 20.0)
+
+
+@pytest.mark.parametrize("command", ["compute", "boxsup"])
+def test_literal_outside_the_float_range_is_a_validation_error(tmp_path, capsys, command):
+    path = _write_config(tmp_path, dict(TRIANGLE_CONFIG, direction=["1e400*sqrt(2)", "1"]))
+    assert main([command, "--config", path]) == EXIT_VALIDATION
+    assert "literal '1e400*sqrt(2)' is outside the float range" in capsys.readouterr().err
 
 
 def test_discrete_command(tmp_path, capsys):

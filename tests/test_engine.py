@@ -1,6 +1,7 @@
 """Continuous and discrete discrepancy evaluation."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -12,8 +13,8 @@ from torusflow.algebraic import AlgebraicValue, frac_orbit_floats, frac_point, p
 from torusflow.engine import (
     FlowInstance,
     QuadratureEstimate,
-    _BoxSweep2D,
     _INT_SNAP,
+    _box_sweep,
     _exact_deltas,
     box_discrepancy_profile,
     box_discrepancy_sup,
@@ -678,7 +679,7 @@ def test_box_functions_validate_times_and_grid():
     for bad in ([1.7, 2.2], [0, 3], [-2], [np.nan], [np.inf], [1e19, 3.0], [[1, 2]], ["3"]):
         with pytest.raises(ValidationError, match="positive integers"):
             box_discrepancy_profile(direction, np.array(bad), 4)
-    for bad in (np.inf, np.nan):
+    for bad in (np.inf, np.nan, -1):
         with pytest.raises(ValidationError, match="finite"):
             box_discrepancy_sup(direction, [ZERO, ZERO], bad, 4)
     with pytest.raises(ValidationError, match="grid"):
@@ -765,7 +766,7 @@ def test_box_sweep_matches_reference(alpha):
     tol = _sweep_tol(SWEEP_TIMES, alpha1)
     exact_tol = _exact_tol(SWEEP_TIMES, alpha1)
     for g in (1, 2, 3, 4, 16):
-        sups, boxes = _BoxSweep2D(inst, g).sups(SWEEP_TIMES, want_argmax=True)
+        sups, boxes = _box_sweep(direction, g, SWEEP_TIMES, want_argmax=True)
         want = _reference_sweep(inst, g, SWEEP_TIMES)
         assert np.all(np.abs(sups - want) <= tol)
         assert np.all(boxes[:, 0] < boxes[:, 1])
@@ -803,6 +804,104 @@ def test_box_sup_bounds_every_grid_box(problem):
     observed = abs(delta_T_exact(box, float(t)))
     r = box_discrepancy_sup(direction, [ZERO, ZERO], t, grid)
     assert r.sup >= observed - _exact_tol(t, alpha1)
+
+
+def _reference_box_sup(direction, s, t, grid):
+    """Every grid box through the exact engine, one FlowInstance per box, in
+    (g(g+1)/2)^d builds.  Returns the sup and the first box in product order
+    that attains it."""
+    levels = [i / grid for i in range(grid + 1)]
+    pairs = [(levels[i], levels[j]) for i in range(grid + 1) for j in range(i + 1, grid + 1)]
+    best_sup, best_lo, best_hi = -1.0, None, None
+    for combo in itertools.product(pairs, repeat=len(direction)):
+        lo = tuple(c[0] for c in combo)
+        hi = tuple(c[1] for c in combo)
+        inst = FlowInstance.build(direction, s, Polytope.box(lo, hi))
+        val = abs(delta_T_exact(inst, t))
+        if val > best_sup:
+            best_sup, best_lo, best_hi = val, lo, hi
+    return best_sup, best_lo, best_hi
+
+
+def _corner_tol(direction, t):
+    """Allowance between a sup read off the orthant corner table and one
+    box's delta_T_exact.
+
+    Each corner value F, like the one box value, is a delta_T_exact call at
+    normalized time tau = t * scale: a sum of at most tau + 1 window values
+    in [0, 1], each clipped within a few ulps of 1/a for the smallest
+    normalized coordinate a, minus tau times the volume.  _exact_tol(tau, a)
+    allows t sequential additions of terms up to 1 + 2/a, which covers that
+    for tau >= 1; below 1 its spacing term still covers a few clips.  A grid
+    box's value is a signed sum of its 2^d corner values, so with the other
+    side's own error the two differ by at most 2^d + 1 such allowances.
+    """
+    normalized, _, scale = Direction.make(direction).normalize()
+    alphas = np.abs(normalized.floats())
+    return (2 ** len(alphas) + 1) * _exact_tol(max(t * float(scale), 1.0), alphas.min())
+
+
+CORNER_CASES = {
+    "rational start": (["sqrt(2) - 1", "1"], ["1/3", "1/5"], 50, 4),
+    "dominant first": (["1", "sqrt(2)"], ["0", "0"], 50, 4),
+    "negative last": (["sqrt(3)", "-sqrt(2)"], ["0", "0"], 50, 4),
+    "real time": (["sqrt(2)", "1"], ["0", "0"], 99.25, 3),
+    "zero time": (["sqrt(2)", "1"], ["1/7", "0"], 0, 3),
+    "3d box": (["sqrt(2) - 1", "sqrt(3) - 1", "1"], ["1/2", "1/3", "1/4"], 13, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(CORNER_CASES))
+def test_corner_table_matches_per_box_loop(case):
+    """Off the sweep path the corner table gives the per-box loop's sup, and
+    its argmax box, a grid box, reproduces that sup; where the boxes differ
+    they tie (at T = 0 every box is 0)."""
+    literals, start, t, grid = CORNER_CASES[case]
+    direction = [parse_literal(v) for v in literals]
+    s = [parse_literal(v) for v in start]
+    tol = _corner_tol(direction, t)
+    r = box_discrepancy_sup(direction, s, t, grid)
+    want, _, _ = _reference_box_sup(direction, s, t, grid)
+    assert abs(r.sup - want) <= tol
+    assert all(type(v) is float for v in r.box_lo + r.box_hi)
+    np.testing.assert_array_equal(np.multiply(r.box_lo + r.box_hi, grid),
+                                  np.round(np.multiply(r.box_lo + r.box_hi, grid)))
+    inst = FlowInstance.build(direction, s, Polytope.box(r.box_lo, r.box_hi))
+    assert abs(abs(delta_T_exact(inst, t)) - r.sup) <= tol
+    if t == 0:
+        assert r.sup == 0.0
+
+
+@st.composite
+def _corner_box_problem(draw):
+    """A planar direction, a rational start in [0, 1)^2, a real time of at
+    most 60, a grid of at most 4 and one grid box on it."""
+    direction = draw(st.sampled_from([["sqrt(2) - 1", "1"], ["1", "sqrt(2)"],
+                                      ["sqrt(3)", "-sqrt(2)"], ["(1 + sqrt(5)) / 2", "1"]]))
+    start = []
+    for _ in range(2):
+        q = draw(st.integers(1, 12))
+        start.append(f"{draw(st.integers(0, q - 1))}/{q}")
+    t = draw(st.floats(0, 60))
+    grid = draw(st.integers(1, 4))
+    x = sorted(draw(st.lists(st.integers(0, grid), min_size=2, max_size=2, unique=True)))
+    y = sorted(draw(st.lists(st.integers(0, grid), min_size=2, max_size=2, unique=True)))
+    return direction, start, t, grid, (x[0], y[0]), (x[1], y[1])
+
+
+@settings(max_examples=25)
+@given(_corner_box_problem())
+def test_corner_sup_bounds_every_grid_box(problem):
+    """From any rational start at any real time, the grid sup is at least
+    |Delta_t| of any one grid box."""
+    literals, start, t, grid, lo, hi = problem
+    direction = [parse_literal(v) for v in literals]
+    s = [parse_literal(v) for v in start]
+    box = FlowInstance.build(direction, s, Polytope.box(tuple(np.divide(lo, grid)),
+                                                        tuple(np.divide(hi, grid))))
+    observed = abs(delta_T_exact(box, t))
+    r = box_discrepancy_sup(direction, s, t, grid)
+    assert r.sup >= observed - _corner_tol(direction, t)
 
 
 def test_trace_csv_and_metadata(triangle_instance):
