@@ -57,7 +57,6 @@ from .geometry import (
     Direction,
     Polytope,
     arrangement_cells,
-    build_piecewise_linear_section,
     random_polygon,
 )
 
@@ -268,13 +267,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     certificate = None
     if inst.d == 2 and inst.transversality_ok and inst.direction.values[0].as_fraction() is None:
-        alpha1 = inst.direction.values[0]
-        if 0.0 < float(alpha1) < 1.0:
-            series = diophantine_series(alpha1, cfg.series_n_max,
-                                        prec_bits=cfg.precision_bits)
-            certificate = polygon_discrepancy_bound(inst.polytope, inst.direction,
-                                                    series)
-            summary["bound_value"] = certificate.bound_value
+        series = diophantine_series(inst.direction.values[0], cfg.series_n_max,
+                                    prec_bits=cfg.precision_bits)
+        certificate = polygon_discrepancy_bound(inst.polytope, inst.direction, series)
+        summary["bound_value"] = certificate.bound_value
 
     if out_dir is not None:
         _write(out_dir, "trace.csv", trace.to_csv())
@@ -391,11 +387,9 @@ def _cmd_fourier(cfg: ExperimentConfig) -> int:
     inst = cfg.build_instance()
     inst.require_exact_capable()
     if inst.d == 2:
-        sec = inst.section or build_piecewise_linear_section(inst.polytope,
-                                                             inst.direction)
-        text = coefficients_csv(sec, inst.polytope, inst.direction,
+        text = coefficients_csv(inst.section, inst.polytope, inst.direction,
                                 cfg.fourier_n_max)
-        coeffs = fourier_coeffs_2d(sec, min(cfg.fourier_n_max, 8))
+        coeffs = fourier_coeffs_2d(inst.section, min(cfg.fourier_n_max, 8))
         for i, c in enumerate(coeffs, start=1):
             print(f"f_hat({i}) = {c.real:+.9e} {c.imag:+.9e}i")
     elif inst.d == 3:

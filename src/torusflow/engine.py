@@ -84,7 +84,7 @@ class FlowInstance:
     @classmethod
     def build(cls, direction, s, polytope: Polytope, *,
               scale_bits: int = DEFAULT_FIXED_SCALE,
-              want_section: bool | None = None) -> "FlowInstance":
+              want_section: bool = True) -> "FlowInstance":
         if not isinstance(direction, Direction):
             direction = Direction.make(direction)
         s_vals = tuple(AlgebraicValue.coerce(v) for v in s)
@@ -103,12 +103,8 @@ class FlowInstance:
         evaluator = SectionEvaluator(polytope, direction) if report.ok else None
 
         section = None
-        if report.ok and polytope.d == 2:
-            alpha1 = float(direction.values[0])
-            if want_section is None:
-                want_section = 0.0 < alpha1 < 1.0
-            if want_section:
-                section = build_piecewise_linear_section(polytope, direction)
+        if want_section and report.ok and polytope.d == 2:
+            section = build_piecewise_linear_section(polytope, direction)
 
         d = direction.d
         s_d = s_vals[-1]
@@ -485,9 +481,9 @@ def discrete_discrepancy(alpha, s, target, n: int,
                          scale_bits: int = DEFAULT_FIXED_SCALE) -> float:
     """Birkhoff-sum discrepancy of the Kronecker sequence s + k*alpha.
 
-    ``target`` may be a Box (half-open membership), a Polytope (closed), or
-    a SectionFunction2D over the circle.  Works in any dimension >= 1; no
-    normalization convention applies to translations.
+    ``target`` may be a Box (half-open membership) or a Polytope (closed).
+    Works in any dimension >= 1; no normalization convention applies to
+    translations.
     """
     pts = _discrete_orbit(alpha, s, n, scale_bits)
     if n == 0:
@@ -503,11 +499,6 @@ def discrete_discrepancy(alpha, s, target, n: int,
             raise ValidationError("polytope dimension mismatch")
         hits = target.contains(pts)
         return float(hits.sum()) - n * target.volume
-    if isinstance(target, SectionFunction2D):
-        if pts.shape[1] != 1:
-            raise ValidationError("section targets take a 1-dimensional rotation")
-        vals = target(pts[:, 0])
-        return float(vals.sum()) - n * target.mean()
     raise ValidationError(f"unsupported target {type(target).__name__}")
 
 

@@ -9,11 +9,9 @@ translates the segment can reach).
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -499,47 +497,40 @@ class SectionEvaluator:
 
 @dataclass(frozen=True)
 class SectionFunction2D:
-    """Continuous piecewise-linear section function on [0, 1].
-
-    Piece j (1-based in reports) covers [breakpoints[j-1], breakpoints[j]]
-    with value slopes[j-1] * x + intercepts[j-1].
+    """Continuous periodic piecewise-linear section function on [0, 1],
+    stored as a kink table: its values at the breakpoints, interpolated
+    linearly.  Piece j (1-based in reports) covers
+    [breakpoints[j-1], breakpoints[j]].
     """
 
     breakpoints: np.ndarray
-    slopes: np.ndarray
-    intercepts: np.ndarray
-    values: np.ndarray = field(repr=False)
-    alpha1: float
-    alpha_norm: float
-    edge_cots: tuple[float, ...]
-    volume: float
+    values: np.ndarray
+
+    def __post_init__(self):
+        gap = abs(self.values[0] - self.values[-1])
+        if gap > 1e-8:
+            raise ValidationError(f"section values at 0 and 1 differ by {gap:.3e}; "
+                                  "the section is not periodic")
 
     @property
     def n_pieces(self) -> int:
-        return len(self.slopes)
+        return len(self.breakpoints) - 1
+
+    @property
+    def slopes(self) -> np.ndarray:
+        return np.diff(self.values) / np.diff(self.breakpoints)
+
+    @property
+    def intercepts(self) -> np.ndarray:
+        return self.values[:-1] - self.slopes * self.breakpoints[:-1]
 
     def __call__(self, x):
         return np.interp(np.asarray(x, dtype=np.float64), self.breakpoints, self.values)
 
     def mean(self) -> float:
-        c = self.breakpoints
-        widths = np.diff(c)
-        mids = 0.5 * (c[1:] + c[:-1])
-        return float(np.sum(widths * (self.slopes * mids + self.intercepts)))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["piece", "left", "right", "slope", "intercept"])
-        for j in range(self.n_pieces):
-            w.writerow([
-                j + 1,
-                f"{self.breakpoints[j]:.17g}",
-                f"{self.breakpoints[j + 1]:.17g}",
-                f"{self.slopes[j]:.17g}",
-                f"{self.intercepts[j]:.17g}",
-            ])
-        return buf.getvalue()
+        """The trapezoid sum, which is exact for the interpolant."""
+        v = self.values
+        return float(np.sum(np.diff(self.breakpoints) * (v[1:] + v[:-1])) / 2.0)
 
 
 def cot_angles(p: Polytope, direction: Direction) -> np.ndarray:
@@ -563,120 +554,38 @@ def cot_angles(p: Polytope, direction: Direction) -> np.ndarray:
     return cots
 
 
-def _clip_with_slope(evaluator: SectionEvaluator, x: float):
-    """Clip the unit-time segment at x, tracking which facet bounds each end.
-
-    Returns (value, slope): the total clipped length and its x-derivative,
-    with t-range ends contributing slope zero.
-    """
-    b = evaluator.facet_b
-    ns = evaluator.normals_star[:, 0]
-    value = 0.0
-    slope = 0.0
-    for rhs_row in evaluator.offsets_by_translate:
-        lo, hi = 0.0, 1.0
-        lo_f, hi_f = -1, -1
-        feasible = True
-        for f in range(len(b)):
-            r = rhs_row[f] - ns[f] * x
-            if abs(b[f]) <= _FEAS_TOL:
-                if r < 0:
-                    feasible = False
-                    break
-                continue
-            t = r / b[f]
-            if b[f] > 0:
-                if t < hi:
-                    hi, hi_f = t, f
-            else:
-                if t > lo:
-                    lo, lo_f = t, f
-        if not feasible or hi <= lo:
-            continue
-        value += hi - lo
-        if hi_f >= 0:
-            slope += -ns[hi_f] / b[hi_f]
-        if lo_f >= 0:
-            slope -= -ns[lo_f] / b[lo_f]
-    return value, slope
-
-
 def build_piecewise_linear_section(p: Polytope, direction: Direction) -> SectionFunction2D:
-    """Exact piecewise-linear section of a planar polytope.
+    """Exact piecewise-linear section of a planar polytope, for any alpha_1.
 
-    Breakpoints are the projections of the vertices of the body and of its
-    (1, 0) translate that land in [0, 1]; on each piece the slope comes from
-    the entry/exit facet pair of the clipped segment, evaluated once at the
-    piece midpoint.
+    The section is a kink table read off the segment clipper.  A clipped
+    segment's ends change facets only where the segment passes a vertex, so
+    the breakpoints are 0, 1 and the vertex projections
+    (v_1 - alpha_1 v_2) mod 1, merged within BREAKPOINT_TOL; the values
+    there are SectionEvaluator.lengths.  As an independent check, the
+    clipped length at each piece's midpoint must equal the interpolant.
     """
     direction.require_normalized()
     if p.d != 2 or direction.d != 2:
         raise ValidationError("piecewise-linear sections are planar only")
-    alpha1 = float(direction.values[0])
-    if not (0.0 < alpha1 < 1.0):
-        raise ValidationError(f"need 0 < alpha_1 < 1 for the two-translate form, got {alpha1}")
     require_transversal(p, direction)
-    cots = cot_angles(p, direction)
-
     ev = SectionEvaluator(p, direction)
-    raw = []
-    for v in p.vertices:
-        proj = v[0] - alpha1 * v[1]
-        raw.append(proj)
-        raw.append(proj + 1.0)
-    pts = [0.0, 1.0]
-    for t in raw:
-        if -BREAKPOINT_TOL <= t <= 1.0 + BREAKPOINT_TOL:
-            pts.append(min(max(t, 0.0), 1.0))
-    pts.sort()
+    alpha1 = float(direction.values[0])
+    proj = np.mod(p.vertices[:, 0] - alpha1 * p.vertices[:, 1], 1.0)
+    pts = np.sort(np.concatenate(([0.0, 1.0], proj)))
     bps = [pts[0]]
     for t in pts[1:]:
         if t - bps[-1] > BREAKPOINT_TOL:
             bps.append(t)
-    if bps[-1] != 1.0:
-        bps[-1] = 1.0
+    bps[-1] = 1.0
 
-    slopes, intercepts = [], []
-    for j in range(len(bps) - 1):
-        xm = 0.5 * (bps[j] + bps[j + 1])
-        val, slope = _clip_with_slope(ev, xm)
-        slopes.append(slope)
-        intercepts.append(val - slope * xm)
-
-    # merge pieces whose affine pieces agree (breakpoint without slope change)
-    mb, ms, mi = [bps[0]], [], []
-    for j in range(len(slopes)):
-        if ms and abs(ms[-1] - slopes[j]) < 1e-9 and abs(mi[-1] - intercepts[j]) < 1e-9:
-            mb[-1] = bps[j + 1]
-            continue
-        ms.append(slopes[j])
-        mi.append(intercepts[j])
-        mb.append(bps[j + 1])
-
-    c = np.array(mb)
-    a = np.array(ms)
-    b = np.array(mi)
-    values = np.empty(len(c))
-    values[0] = a[0] * c[0] + b[0]
-    values[1:] = a * c[1:] + b
-
-    # builder self-check: interior continuity and periodicity
-    left_vals = a[1:] * c[1:-1] + b[1:]
-    if len(left_vals) and np.max(np.abs(left_vals - values[1:-1])) > 1e-8:
-        raise ValidationError("section build produced a discontinuity; geometry is degenerate")
-    if abs(values[0] - values[-1]) > 1e-8:
-        raise ValidationError("section build broke periodicity; geometry is degenerate")
-
-    return SectionFunction2D(
-        breakpoints=c,
-        slopes=a,
-        intercepts=b,
-        values=values,
-        alpha1=alpha1,
-        alpha_norm=float(np.linalg.norm(direction.floats())),
-        edge_cots=tuple(float(t) for t in cots),
-        volume=p.volume,
-    )
+    c = np.array(bps)
+    sec = SectionFunction2D(breakpoints=c, values=ev.lengths(c))
+    mids = 0.5 * (c[1:] + c[:-1])
+    defect = float(np.max(np.abs(ev.lengths(mids) - sec(mids))))
+    if defect > 1e-8:
+        raise ValidationError(f"section is not linear between breakpoints (defect "
+                              f"{defect:.3e}); geometry is degenerate")
+    return sec
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,25 @@ def test_bound_command(tmp_path, capsys):
     np.testing.assert_allclose(blob["bound_value"], 8.968142537766536, atol=1e-9)
 
 
+def test_commands_agree_on_a_negative_alpha1(tmp_path, capsys):
+    """Normalized, ["sqrt(3)", "-sqrt(2)"] flows along alpha_1 = -0.816:
+    fourier dumps its coefficients, and trace certifies what bound does."""
+    base = dict(TRIANGLE_CONFIG, direction=["sqrt(3)", "-sqrt(2)"])
+    runs = {}
+    for command in ("fourier", "bound", "trace"):
+        cfg = dict(base, out=str(tmp_path / command))
+        assert main([command, "--config",
+                     _write_config(tmp_path, cfg, f"{command}.json")]) == EXIT_OK
+        runs[command] = tmp_path / command
+    capsys.readouterr()
+    assert (runs["fourier"] / "coefficients.csv").exists()
+    cert = (runs["trace"] / "certificate.json").read_bytes()
+    assert cert == (runs["bound"] / "certificate.json").read_bytes()
+    deltas = np.loadtxt(runs["trace"] / "trace.csv", delimiter=",", skiprows=1,
+                        usecols=1)
+    assert np.abs(deltas).max() <= json.loads(cert)["bound_value"]
+
+
 def test_compare_growth_table(tmp_path):
     cfg = ExperimentConfig.parse(json.dumps({
         "name": "golden-compare",

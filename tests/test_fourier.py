@@ -2,16 +2,16 @@
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusflow.algebraic import AlgebraicValue, parse_literal
 from torusflow.diophantine import diophantine_series
+from torusflow.engine import FlowInstance, delta_T_exact
 from torusflow.errors import DegeneratePolytopeError, ValidationError
 from torusflow.fourier import (
     _CHUNK,
@@ -30,7 +30,16 @@ from torusflow.fourier import (
     per_coefficient_bound,
     polygon_discrepancy_bound,
 )
-from torusflow.geometry import Arrangement, ArrangementCell, Direction, Polytope, arrangement_cells
+from torusflow.geometry import (
+    BREAKPOINT_TOL,
+    Arrangement,
+    ArrangementCell,
+    Direction,
+    Polytope,
+    SectionFunction2D,
+    arrangement_cells,
+    random_polygon,
+)
 
 # Coefficients of the reference triangle section, verified against midpoint
 # Riemann sums with 2e5 nodes (agreement ~2e-12).
@@ -78,13 +87,79 @@ def test_vectorised_coefficients_match_singles(triangle_section):
 
 
 def test_discontinuous_section_rejected(triangle_section):
-    intercepts = np.array(triangle_section.intercepts, dtype=float)
-    intercepts[-1] += 1e-3
-    jumped = dataclasses.replace(triangle_section, intercepts=intercepts)
-    with pytest.raises(ValidationError, match="telescope"):
-        fourier_coeffs_2d(jumped, 8)
-    with pytest.raises(ValidationError, match="telescope"):
-        fourier_coeff_exact_2d(jumped, 3)
+    values = np.array(triangle_section.values, dtype=float)
+    values[-1] += 1e-3
+    with pytest.raises(ValidationError, match="not periodic"):
+        SectionFunction2D(triangle_section.breakpoints, values)
+
+
+@st.composite
+def _section_problem(draw):
+    """alpha_1, a seed, and a body: a box with a corner at the origin, whose
+    section kinks at the wrap, or a random polygon of 3 to 7 corners.
+    alpha_1 is a quadratic surd (a + b sqrt(D))/c of either sign, 1 or -1/2."""
+    a = draw(st.integers(-4, 4))
+    b = draw(st.integers(1, 3)) * draw(st.sampled_from([-1, 1]))
+    root = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    c = draw(st.integers(1, 6))
+    alpha1 = draw(st.sampled_from([f"({a} + {b} * sqrt({root})) / {c}", "1", "-1/2"]))
+    body = draw(st.sampled_from(["box", 3, 4, 5, 6, 7]))
+    return alpha1, draw(st.integers(0, 2 ** 32 - 1)), body
+
+
+def _window_tol(inst) -> float:
+    """Allowance between the kink table and a clipped length at one x.
+
+    A clipped length sums hi - lo over the k reachable translates.  Each
+    end is a quotient r/b with |r| = |c + <nu, eps> - nu_1 x| <= m + 3 for
+    unit normals nu and reach m, so with s = 1/min|b| it is within
+    (m + 3) s eps + eps of exact, and the length within w = 2k((m + 3) s + 1)
+    eps.  Every slope of f is at most 2ks, so a kink changes the slope by at
+    most 4ks.  The table holds clipped lengths at breakpoints within
+    BREAKPOINT_TOL of the kinks, and np.interp rounds within 3 eps of the
+    exact interpolant of [0, 1]-valued data: the interpolant is within
+    w + 4ks BREAKPOINT_TOL + 3 eps of f, and within one more w of a clipped
+    length.
+    """
+    ev = inst.evaluator
+    k, m, s = len(ev.translates), ev.m_reach, 1.0 / np.abs(ev.facet_b).min()
+    eps = np.finfo(float).eps
+    w = 2 * k * ((m + 3) * s + 1) * eps
+    return 2 * w + 4 * k * s * BREAKPOINT_TOL + 3 * eps
+
+
+@settings(max_examples=25)
+@given(_section_problem())
+def test_kink_table_matches_the_clipper(problem):
+    """For alpha_1 of any sign the kink table interpolates the clipper, has
+    the body's volume as its mean and the reference coefficients, and
+    gives the engine the same Delta_T as clipping every window.
+
+    Both engine runs clip the same partial windows and sum n = T + 1 full
+    windows, which differ by at most _window_tol each; each computed sum of
+    n terms of size at most 1 is within gamma_n n <= 1.01 n^2 eps / 2 of
+    its exact sum (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., eq. 4.4), so the runs differ by at most n _window_tol + 1.01
+    n^2 eps.
+    """
+    alpha1, seed, body = problem
+    rng = np.random.default_rng(seed)
+    poly = (Polytope.box((0.0, 0.0), tuple(rng.uniform(0.1, 0.9, 2))) if body == "box"
+            else random_polygon(rng, body))
+    direction = [parse_literal(alpha1), parse_literal("1")]
+    zero = (parse_literal("0"), parse_literal("0"))
+    inst = FlowInstance.build(direction, zero, poly)
+    clipped = FlowInstance.build(direction, zero, poly, want_section=False)
+    sec = inst.section
+    xs = rng.random(64)
+    np.testing.assert_allclose(sec(xs), inst.evaluator.lengths(xs), rtol=0, atol=1e-12)
+    assert abs(sec.mean() - poly.volume) <= 1e-12
+    reference = [_reference_coeff_2d(sec, n) for n in range(1, 33)]
+    np.testing.assert_allclose(fourier_coeffs_2d(sec, 32), reference, rtol=0, atol=1e-14)
+    for t in (10, 1000):
+        n = t + 1
+        tol = n * _window_tol(inst) + 1.01 * n * n * np.finfo(float).eps
+        assert abs(delta_T_exact(inst, t) - delta_T_exact(clipped, t)) <= tol
 
 
 def test_conjugate_symmetry(triangle_section):

@@ -119,16 +119,6 @@ def test_section_function_invariants(triangle_section, triangle):
     np.testing.assert_allclose(sec.values[0], sec.values[-1], atol=1e-12)
 
 
-def test_section_csv_round_trip(triangle_section):
-    rows = triangle_section.to_csv().strip().splitlines()
-    assert rows[0] == "piece,left,right,slope,intercept"
-    assert len(rows) == triangle_section.n_pieces + 1
-    parsed = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
-    np.testing.assert_allclose(parsed[:, 0], np.arange(1, triangle_section.n_pieces + 1), atol=0)
-    np.testing.assert_allclose(parsed[:, 1], triangle_section.breakpoints[:-1], atol=0)
-    np.testing.assert_allclose(parsed[:, 2], triangle_section.breakpoints[1:], atol=0)
-
-
 def test_random_polygon_contract(rng):
     for _ in range(40):
         n = int(rng.integers(3, 9))
