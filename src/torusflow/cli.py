@@ -73,7 +73,8 @@ EXIT_PRECISION = 3
 #: Numeric config fields, and whether each must be an integer.
 _NUMERIC_FIELDS = {"quadrature_step": False, "series_n_max": True, "fourier_n_max": True,
                    "grid": True, "precision_bits": True, "schedule.t_max": False,
-                   "schedule.n_samples": True}
+                   "schedule.n_samples": True, "audit.gamma": False,
+                   "audit.scan_n_max": True, "discrete.n_max": True}
 
 
 def _check_number(name: str, value, integral: bool):
@@ -118,11 +119,13 @@ class ExperimentConfig:
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**raw)
-        if not isinstance(cfg.schedule, dict):
-            raise ValidationError("schedule must be a JSON object")
+        for section in ("schedule", "discrete", "audit"):
+            value = getattr(cfg, section)
+            if not isinstance(value, dict) and (value is not None or section == "schedule"):
+                raise ValidationError(f"{section} must be a JSON object")
         for name, integral in _NUMERIC_FIELDS.items():
             section, _, key = name.rpartition(".")
-            values = cfg.schedule if section else raw
+            values = (getattr(cfg, section) or {}) if section else raw
             if key in values and (values[key] is not None or name != "precision_bits"):
                 _check_number(name, values[key], integral)
         return cfg
@@ -220,10 +223,13 @@ def _discrete_setup(cfg: ExperimentConfig, n_max_default: int):
     """(alpha, start, box, n_max) of the config's discrete section; alpha
     defaults to the first direction coordinate, start to the origin."""
     dcfg = cfg.discrete or {}
-    alpha = [AlgebraicValue.parse(a) for a in dcfg.get("alpha", [cfg.direction[0]])]
-    start = [AlgebraicValue.parse(s) for s in dcfg.get("start", ["0"] * len(alpha))]
-    box = Box.make(dcfg.get("box_lo", [0.0] * len(alpha)),
-                   dcfg.get("box_hi", [0.5] * len(alpha)))
+    try:
+        alpha = [AlgebraicValue.parse(a) for a in dcfg.get("alpha", [cfg.direction[0]])]
+        start = [AlgebraicValue.parse(s) for s in dcfg.get("start", ["0"] * len(alpha))]
+        box = Box.make(dcfg.get("box_lo", [0.0] * len(alpha)),
+                       dcfg.get("box_hi", [0.5] * len(alpha)))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed 'discrete' config: {exc}") from exc
     return alpha, start, box, int(dcfg.get("n_max", n_max_default))
 
 
@@ -448,24 +454,30 @@ def _cmd_audit(cfg: ExperimentConfig) -> int:
             direction = direction.normalize()[0]
         alpha_star = list(direction.values[:-1])
     dim = len(alpha_star)
-    # d-2 coordinate forms unless the config says else
-    forms = acfg.get("forms")
-    form_vecs = ([np.asarray(f, dtype=np.float64) for f in forms]
-                 if forms is not None
-                 else [np.eye(dim)[k] for k in range(dim - 1)])
-    levels = acfg.get("levels",
-                      [[ell, [ell] * len(form_vecs)] for ell in (2, 3, 4)])
+    try:
+        # d-2 coordinate forms unless the config says else
+        forms = acfg.get("forms")
+        form_vecs = ([np.asarray(f, dtype=np.float64) for f in forms]
+                     if forms is not None
+                     else [np.eye(dim)[k] for k in range(dim - 1)])
+        if any(vec.shape != (dim,) for vec in form_vecs):
+            raise ValueError(f"each form needs {dim} coefficients, one per axis")
+        levels = acfg.get("levels", [[ell, [ell] * len(form_vecs)] for ell in (2, 3, 4)])
+        for ell, ell_ks in levels:
+            if not all(type(v) is int and v >= 0 for v in [ell, *ell_ks]):
+                raise ValueError(f"levels must be non-negative integers, got {[ell, ell_ks]}")
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed 'audit' config: {exc}") from exc
     scan = schmidt_inequality_scan(alpha_star, form_vecs, gamma, n_scan)
     c_fit = scan.fitted_c
     print(f"fitted c = {c_fit:.6g} at gamma = {gamma} (scan |n| <= {n_scan})")
     total_violations = 0
     for ell, ell_ks in levels:
-        block = materialize_dyadic_block(form_vecs, gamma, c_fit, int(ell),
-                                         [int(x) for x in ell_ks], dim=dim)
+        block = materialize_dyadic_block(form_vecs, gamma, c_fit, ell, ell_ks, dim=dim)
         result = dyadic_spacing_audit(alpha_star, block)
         v = len(result.violations)
         total_violations += v
-        print(f"block ell={ell} ell_ks={ell_ks}: {len(block.members)} members, "
+        print(f"block ell={ell} ell_ks={ell_ks}: {block.coords.shape[1]} members, "
               f"capacity {block.capacity}, violations {v}")
     print("audit:", "PASS" if total_violations == 0 else "FAIL")
     return EXIT_OK if total_violations == 0 else EXIT_VALIDATION

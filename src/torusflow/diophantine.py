@@ -15,6 +15,7 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -415,12 +416,27 @@ def schmidt_inequality_scan(alpha_values, forms, gamma: float, n_max: int,
 @dataclass(frozen=True)
 class DyadicBlock:
     """Lattice vectors with 2^ell <= |n| < 2^(ell+1) and dyadically pinned
-    form sizes 2^(ell_k) <= |L_k(n)| + 1 < 2^(ell_k+1)."""
+    form sizes 2^(ell_k) <= |L_k(n)| + 1 < 2^(ell_k+1): int64 ``coords``, one
+    column per vector, from which ``members`` builds Python int tuples on
+    first use.  Blocks compare by level, form levels and capacity only."""
 
     ell: int
     ell_ks: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
+    coords: np.ndarray = field(compare=False)
     capacity: int  # the H of the spacing claims
+
+    def __post_init__(self):
+        try:  # a ragged list raises ValueError, a float, object or uint64 array TypeError
+            coords = np.asarray(self.coords).astype(np.int64, casting="safe", copy=False)
+            if coords.ndim != 2:
+                raise ValueError(f"got shape {coords.shape}")
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"block coordinates must be a 2-d int64 array: {exc}") from exc
+        object.__setattr__(self, "coords", coords)
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.coords.tolist()))
 
 
 def block_capacity(c: float, gamma: float, ell: int, ell_ks: tuple[int, ...]) -> int:
@@ -477,15 +493,11 @@ def materialize_dyadic_block(forms, gamma: float, c: float, ell: int,
             size = np.abs(_form_sizes(row, pts)) + 1.0
             keep &= (2.0 ** lk <= size) & (size < 2.0 ** (lk + 1))
         pieces.append(pts[:, keep])
-    if pieces:
-        coords = np.concatenate(pieces, axis=1)
-        members = tuple(zip(*(axis.tolist() for axis in coords)))
-    else:
-        members = ()
     return DyadicBlock(
         ell=ell,
         ell_ks=tuple(ell_ks),
-        members=members,
+        coords=(np.concatenate(pieces, axis=1) if pieces
+                else np.zeros((dim, 0), dtype=np.int64)),
         capacity=block_capacity(c, gamma, ell, ell_ks),
     )
 
@@ -521,19 +533,15 @@ def dyadic_spacing_audit(alpha_values, block: DyadicBlock,
     offset = half - 1
     h = block.capacity
     inv = 2.0 ** -scale_bits
-    members = block.members
-    if not members:
+    coords = block.coords
+    count = coords.shape[1]
+    if not count:
         return AuditResult(passed=True, block=block, min_abs=float("inf"),
                            min_gap=float("inf"), violations=())
 
-    width = len(members[0])
-    if sum(map(len, members)) != len(members) * width:
-        raise ValidationError("block members must all have the same dimension")
-    coords = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int64,
-                         count=len(members) * width).reshape(-1, width).T
     key = np.concatenate([_residues(coords[:len(steps), i:i + _CHUNK], steps, scale_bits,
                                     offset)
-                          for i in range(0, len(members), _CHUNK)], axis=1)
+                          for i in range(0, count, _CHUNK)], axis=1)
 
     def rho_of(i: int) -> int:
         return _to_ints(key[:, [i]])[0] - offset
@@ -544,7 +552,8 @@ def dyadic_spacing_audit(alpha_values, block: DyadicBlock,
     t = -(-full // h) if h > 0 else full
     small = _less(key, offset + t) & ~_less(key, offset - t + 1)
     for i in np.flatnonzero(small).tolist():
-        violations.append(f"|g({members[i]})| = {abs(rho_of(i)) * inv:.3e} < 1/{h}")
+        n = tuple(coords[:, i].tolist())
+        violations.append(f"|g({n})| = {abs(rho_of(i)) * inv:.3e} < 1/{h}")
 
     # order by (rho, n): one sort on the top limb unless it has ties
     order = np.argsort(key[-1])
@@ -554,17 +563,17 @@ def dyadic_spacing_audit(alpha_values, block: DyadicBlock,
     ranked = key[:, order]
     negatives = int(np.count_nonzero(_less(key, offset)))
     nearest = [rho_of(int(order[i])) for i in (negatives - 1, negatives)
-               if 0 <= i < len(members)]
+               if 0 <= i < count]
     min_abs = min(abs(r) for r in nearest) * inv
 
     min_gap = float("inf")
-    if len(members) > 1:
+    if count > 1:
         gaps = _sub(ranked[:, 1:], ranked[:, :-1])
         min_gap = _to_ints(gaps[:, [_argmin(gaps)]])[0] * inv
         # h * gap <= full  <=>  gap < floor(full / h) + 1
         close = _less(gaps, full // h + 1 if h > 0 else full)
         for i in np.flatnonzero(close).tolist():
-            n1, n2 = members[order[i]], members[order[i + 1]]
+            n1, n2 = (tuple(coords[:, j].tolist()) for j in order[i:i + 2])
             gap = _to_ints(gaps[:, [i]])[0]
             violations.append(f"|g({n2}) - g({n1})| = {gap * inv:.3e} <= 1/{h}")
 

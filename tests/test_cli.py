@@ -424,3 +424,30 @@ def test_config_numbers_are_type_checked(tmp_path, capsys, field, value, message
     path = _write_config(tmp_path, dict(TRIANGLE_CONFIG, **{field: value}))
     assert main(["compute", "--config", path, "--engine", "quadrature"]) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, value", [
+    ("audit", {"levels": [["x", [2]]]}),
+    ("audit", {"levels": 5}),
+    ("audit", {"levels": [[2]]}),
+    ("audit", {"levels": [[2.5, []]]}),
+    ("audit", {"levels": [[2, [-1]]]}),
+    ("audit", {"gamma": "x"}),
+    ("audit", {"scan_n_max": "x"}),
+    ("audit", {"forms": [["a"]]}),
+    ("audit", {"forms": [[1, 2]]}),
+    ("audit", "x"),
+    ("discrete", {"n_max": "x"}),
+    ("discrete", {"n_max": 12.7}),
+    ("discrete", {"box_lo": ["a"]}),
+    ("discrete", {"start": [1]}),
+    ("discrete", "x"),
+])
+def test_malformed_audit_and_discrete_sections_are_validation_errors(tmp_path, capsys,
+                                                                    section, value):
+    """Each of these crashed with a traceback (exit 1) or ran on a silently
+    changed value: a fractional n_max or level, a form cut to the rotation's
+    dimension."""
+    path = _write_config(tmp_path, dict(TRIANGLE_CONFIG, **{section: value}))
+    assert main([section, "--config", path]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error (validation): ")

@@ -214,6 +214,12 @@ def test_profile_summary(silver):
 # the float minima and every violation string.
 
 
+def _block(ell, ell_ks, members, capacity):
+    """A hand-built block: the member tuples become int64 columns."""
+    return DyadicBlock(ell=ell, ell_ks=tuple(ell_ks),
+                       coords=np.array(members, dtype=np.int64).T, capacity=capacity)
+
+
 def _reference_block(forms, gamma, c, ell, ell_ks, dim):
     form_rows = [tuple(float(x) for x in f) for f in forms]
     lo2, hi2 = 4 ** ell, 4 ** (ell + 1)
@@ -235,8 +241,7 @@ def _reference_block(forms, gamma, c, ell, ell_ks, dim):
             rec(prefix + [v], axis + 1)
 
     rec([], 0)
-    return DyadicBlock(ell=ell, ell_ks=tuple(ell_ks), members=tuple(members),
-                       capacity=block_capacity(c, gamma, ell, ell_ks))
+    return _block(ell, ell_ks, members, block_capacity(c, gamma, ell, ell_ks))
 
 
 def _reference_audit(alpha_values, block, scale_bits=DEFAULT_FIXED_SCALE):
@@ -270,7 +275,7 @@ def _reference_audit(alpha_values, block, scale_bits=DEFAULT_FIXED_SCALE):
 def _assert_audit_identical(alpha_values, block):
     want = _reference_audit(alpha_values, block)
     got = dyadic_spacing_audit(alpha_values, block)
-    assert got == want
+    assert got == want and got.block is block
     assert got.min_abs.hex() == want.min_abs.hex()
     assert got.min_gap.hex() == want.min_gap.hex()
     return got
@@ -279,7 +284,10 @@ def _assert_audit_identical(alpha_values, block):
 def _assert_block_identical(forms, gamma, c, ell, ell_ks, dim):
     want = _reference_block(forms, gamma, c, ell, ell_ks, dim)
     got = materialize_dyadic_block(forms, gamma, c, ell, ell_ks, dim)
-    assert got == want
+    assert got == want  # level, form levels and capacity; coords compared below
+    assert got.coords.dtype == np.int64
+    assert np.array_equal(got.coords, want.coords)
+    assert got.members == want.members
     assert all(type(v) is int for n in got.members for v in n)
     return got
 
@@ -315,23 +323,22 @@ def test_dyadic_audit_matches_loops_on_half_residues():
         block = _assert_block_identical([np.array([1.0])], 0.5, 0.7, ell, [ell], 1)
         result = _assert_audit_identical([half], block)
         assert result.min_gap == 0.0 and result.min_abs == 0.0
-        reverse = DyadicBlock(ell=ell, ell_ks=(ell,), members=block.members[::-1],
-                              capacity=block.capacity)
+        reverse = _block(ell, (ell,), block.members[::-1], block.capacity)
         _assert_audit_identical([half], reverse)
-    odd = DyadicBlock(ell=0, ell_ks=(0,), members=((3,), (-3,), (1,)), capacity=1)
+    odd = _block(0, (0,), ((3,), (-3,), (1,)), 1)
     result = _assert_audit_identical([half], odd)
     assert result.min_abs == 0.5
     assert result.violations[-2:] == ("|g((1,)) - g((-3,))| = 0.000e+00 <= 1/1",
                                       "|g((3,)) - g((1,))| = 0.000e+00 <= 1/1")
     # H = 2 puts the thresholds exactly on the residues: H * |1/2| = 1 is not
     # below 1, while H * gap = 1 for the gap 0 -> 1/2 is at most 1
-    edge = DyadicBlock(ell=0, ell_ks=(0,), members=((2,), (1,), (-1,)), capacity=2)
+    edge = _block(0, (0,), ((2,), (1,), (-1,)), 2)
     assert _assert_audit_identical([half], edge).violations == (
         "|g((2,))| = 0.000e+00 < 1/2",
         "|g((-1,)) - g((2,))| = 5.000e-01 <= 1/2",
         "|g((1,)) - g((-1,))| = 0.000e+00 <= 1/2")
     # 1/3 rounds to floor(2**192 / 3), and 3 * floor(2**192 / 3) < 2**192
-    third = DyadicBlock(ell=0, ell_ks=(0,), members=((-1,), (1,)), capacity=3)
+    third = _block(0, (0,), ((-1,), (1,)), 3)
     assert _assert_audit_identical([parse_literal("1/3")], third).violations == (
         "|g((-1,))| = 3.333e-01 < 1/3", "|g((1,))| = 3.333e-01 < 1/3")
 
@@ -342,14 +349,24 @@ def test_dyadic_audit_matches_loops_on_wide_coordinates(silver):
     members = ((-(2 ** 62) + 1, 5), (-(2 ** 40), -(2 ** 33) - 7), (3, 2 ** 32),
                (2 ** 45 + 11, -1), (2 ** 62, 2 ** 61))
     for capacity in (1, 10 ** 6):
-        block = DyadicBlock(ell=0, ell_ks=(0,), members=members, capacity=capacity)
+        block = _block(0, (0,), members, capacity)
         _assert_audit_identical([silver, parse_literal("-7/3")], block)
 
 
 def test_dyadic_audit_rejects_ragged_members(silver):
-    block = DyadicBlock(ell=0, ell_ks=(0,), members=((1,), (2, 3)), capacity=1)
-    with pytest.raises(ValidationError):
-        dyadic_spacing_audit([silver, silver], block)
+    """Members are checked when the block is built: its coordinates must be
+    a 2-d integer array within int64, so the audit never meets a ragged
+    block."""
+    for coords in ([[1], [2, 3]], np.array([[1.0, 2.0]]), np.array([1, 2]),
+                   [[2 ** 63]], [[2 ** 64]]):
+        with pytest.raises(ValidationError, match="block coordinates"):
+            DyadicBlock(ell=0, ell_ks=(0,), coords=coords, capacity=1)
+    listed = DyadicBlock(ell=0, ell_ks=(0,), coords=[[1, -2], [3, 4]], capacity=1)
+    assert listed.coords.dtype == np.int64 and listed.members == ((1, 3), (-2, 4))
+    empty = materialize_dyadic_block([np.array([1.0])], 0.5, 0.7, 2, [0], 1)
+    assert empty.coords.shape == (1, 0) and empty.members == ()
+    result = dyadic_spacing_audit([silver], empty)
+    assert result.passed and result.min_abs == result.min_gap == float("inf")
 
 
 # -- series head, exponent scan and Schmidt scan against the scalar loops ---
